@@ -32,6 +32,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 	"sync/atomic"
@@ -152,6 +153,12 @@ func main() {
 			fail(fmt.Errorf("-arrival declares its own cohort thread counts; -threads does not apply"))
 		}
 	}
+	if *threads < 0 {
+		fail(fmt.Errorf("-threads %d: the thread count cannot be negative (0 = paper default)", *threads))
+	}
+	if *arrName != "" && (!(*arrScale > 0) || math.IsInf(*arrScale, 0)) {
+		fail(fmt.Errorf("-arrival-scale %g: the offered-intensity scale must be a positive finite number", *arrScale))
+	}
 	w, err := skybyte.WorkloadByName(*workload)
 	if err != nil {
 		fail(err)
@@ -207,8 +214,8 @@ func main() {
 	// Workload and mix definitions reach the store identity through the
 	// runner's source-folded spec keys (DESIGN.md §2.1): an edited file
 	// or re-recorded trace re-keys exactly the runs that use it.
-	// knobs applies the CLI overrides on top of a variant config; the
-	// runner paths reuse it as the spec's config mutation. knobTag
+	// knobs applies the CLI overrides on top of a variant config; every
+	// run uses it as the spec's config mutation. knobTag
 	// folds the knob values into the spec identity, so runs with
 	// different CLI settings never collide in a persistent store
 	// (mutations are excluded from Spec.Key by design; the tag carries
@@ -230,76 +237,79 @@ func main() {
 	knobTag := fmt.Sprintf("cli|thr=%v|pol=%s|dram=%dMB|log=%dKB|tel=%v|tl=%t",
 		*threshold, *policy, *cacheMB, *logKB, *telDur, *timeline != "")
 
-	newRunner := func(parallelism int) *runner.Runner {
-		r := runner.New(base, *seed, parallelism)
-		if *cacheDir != "" {
-			disk, err := store.Open(*cacheDir, store.Fingerprint(base, *seed))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			r.Store = disk
-			r.CacheOnly = *fromCache
-		}
-		return r
-	}
-
-	// Devices/Placement are spec identity, not knob-tag material: the
-	// runner folds them into the store key (DESIGN.md §9), so they ride
-	// on every Spec below rather than in knobTag.
-	flt := fleetFlags{devices: *devices, placement: *placement}
-
-	if *variants != "" {
-		compareVariants(newRunner(*parallel), base, w, variantList, *threads, *instr, knobTag, knobs, flt, shardI, shardN, *shardSpec != "")
-		return
-	}
-
-	if *mixName != "" {
-		runMix(newRunner(1), base, mix, skybyte.Variant(*variant), *instr, *seed, *cacheDir != "", knobTag, knobs, flt, *timeline)
-		return
-	}
-
-	if *arrName != "" {
-		runArrival(newRunner(1), base, arr, skybyte.Variant(*variant), *instr, *seed, *arrScale, *cacheDir != "", knobTag, knobs, flt, *timeline)
-		return
-	}
-
-	cfg := base.WithVariant(skybyte.Variant(*variant))
-	knobs(&cfg)
-	flt.apply(&cfg)
-	n := *threads
-	if n == 0 {
-		// Same paper default as the comparison path, so both modes
-		// measure — and, with -cache-dir, share — the same design point.
-		n = runner.ThreadsFor(cfg)
-	}
-
-	start := time.Now()
-	var res *skybyte.Result
-	if *cacheDir == "" {
-		res = skybyte.Run(cfg, w, n, *instr, *seed)
-	} else {
-		// Route through the runner so the store is consulted and fed.
-		r := newRunner(1)
-		res, err = r.Run(context.Background(), runner.Spec{
-			Workload:   w.Name,
-			Variant:    skybyte.Variant(*variant),
-			TotalInstr: *instr * uint64(n),
-			Threads:    n,
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		})
+	// Every mode runs through the runner; -cache-dir attaches the
+	// persistent store, so identical runs recall instead of simulating.
+	r := runner.New(base, *seed, *parallel)
+	if *cacheDir != "" {
+		disk, err := store.Open(*cacheDir, store.Fingerprint(base, *seed))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		r.Store = disk
+		r.CacheOnly = *fromCache
 	}
-	wall := time.Since(start)
 
+	// spec carries what every mode shares. Devices/Placement are spec
+	// identity, not knob-tag material: the runner folds them into the
+	// store key (DESIGN.md §9).
+	spec := runner.Spec{
+		Variant:   skybyte.Variant(*variant),
+		Devices:   *devices,
+		Placement: *placement,
+		Tag:       knobTag,
+		Mutate:    knobs,
+	}
+
+	if *variants != "" {
+		compareVariants(r, base, w, variantList, *threads, *instr, spec, shardI, shardN, *shardSpec != "")
+		return
+	}
+
+	cfg := base.WithVariant(spec.Variant)
+	knobs(&cfg)
+	var report func(res *skybyte.Result, wall time.Duration)
+	switch {
+	case *mixName != "":
+		spec.Mix, spec.Threads = mix.Name, mix.TotalThreads()
+		spec.TotalInstr = *instr * uint64(spec.Threads)
+		report = func(res *skybyte.Result, wall time.Duration) { printMix(res, mix, cfg.Cores, wall) }
+	case *arrName != "":
+		n, err := arr.TotalThreads()
+		if err != nil {
+			fail(err)
+		}
+		spec.Arrival, spec.ArrivalScale = arr.Name, *arrScale
+		spec.TotalInstr = *instr * uint64(n)
+		report = func(res *skybyte.Result, wall time.Duration) { printArrival(res, arr, *arrScale, n, cfg.Cores, wall) }
+	default:
+		n := *threads
+		if n == 0 {
+			// Same paper default as the comparison path, so both modes
+			// measure — and, with -cache-dir, share — the same design point.
+			n = runner.ThreadsFor(cfg)
+		}
+		spec.Workload, spec.Threads = w.Name, n
+		spec.TotalInstr = *instr * uint64(n)
+		report = func(res *skybyte.Result, wall time.Duration) { printRun(res, w, n, cfg.Cores, wall) }
+	}
+	// -instr is per thread in every mode: an intensity-1 tenant's or a
+	// cohort's threads each replay that many instructions.
+	start := time.Now()
+	res, err := r.Run(context.Background(), spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	report(res, time.Since(start))
+	emitFleet(res)
+	emitTelemetry(res, *timeline)
+}
+
+// printRun prints one workload run's measurements.
+func printRun(res *skybyte.Result, w skybyte.Workload, threads, cores int, wall time.Duration) {
 	fmt.Printf("workload        %s (%s footprint, paper MPKI %.1f)\n", w.Name, stats.FormatGB(w.FootprintBytes()), w.PaperMPKI)
-	fmt.Printf("variant         %s, %d threads on %d cores\n", res.Variant, n, cfg.Cores)
+	fmt.Printf("variant         %s, %d threads on %d cores\n", res.Variant, threads, cores)
 	fmt.Printf("exec time       %v   (%.1fM instr, %.0f MIPS simulated; wall %v)\n",
 		res.ExecTime, float64(res.Instructions)/1e6, res.IPS()/1e6, wall.Round(time.Millisecond))
 	fmt.Printf("boundedness     compute %.1f%%  memory %.1f%%  ctx-switch %.1f%%\n",
@@ -329,22 +339,6 @@ func main() {
 	}
 	fmt.Printf("SSD bandwidth   %.2f GB/s over CXL; flash die utilization %.1f%%\n",
 		res.SSDBandwidthBps/1e9, 100*res.FlashUtilization)
-	emitFleet(res)
-	emitTelemetry(res, *timeline)
-}
-
-// fleetFlags carries the -devices/-placement pair to each run path:
-// apply sets them on a config for the direct (storeless) paths; the
-// runner paths put them on the Spec instead, where they fold into the
-// store key.
-type fleetFlags struct {
-	devices   int
-	placement string
-}
-
-func (f fleetFlags) apply(c *skybyte.Config) {
-	c.Devices = f.devices
-	c.Placement = f.placement
 }
 
 // emitFleet prints the per-device split of a fleet run: one fleet-dev
@@ -408,44 +402,12 @@ func emitTelemetry(res *skybyte.Result, timelinePath string) {
 	}
 }
 
-// runMix executes one multi-tenant design point and prints the
-// per-tenant accounting: who got what share of the machine, who paid
-// for context switches, and who filled the write log. instrPerThread
-// matches the solo path's -instr semantics (an intensity-1 tenant's
-// threads each replay that many instructions). With -cache-dir the run
-// routes through the runner so identical mixed runs recall from the
-// store.
-func runMix(r *runner.Runner, base skybyte.Config, m skybyte.Mix, v skybyte.Variant, instrPerThread, seed uint64, useStore bool, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, timelinePath string) {
-	cfg := base.WithVariant(v)
-	knobs(&cfg)
-	flt.apply(&cfg)
-	total := instrPerThread * uint64(m.TotalThreads())
-
-	start := time.Now()
-	var res *skybyte.Result
-	var err error
-	if useStore {
-		res, err = r.Run(context.Background(), runner.Spec{
-			Mix:        m.Name,
-			Variant:    v,
-			TotalInstr: total,
-			Threads:    m.TotalThreads(),
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		})
-	} else {
-		res, err = skybyte.RunMix(cfg, m, total, seed)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
+// printMix prints one multi-tenant run's per-tenant accounting: who
+// got what share of the machine, who paid for context switches, and
+// who filled the write log.
+func printMix(res *skybyte.Result, m skybyte.Mix, cores int, wall time.Duration) {
 	fmt.Printf("mix             %s (%d tenants, %d threads on %d cores)\n",
-		m.Name, len(m.Tenants), m.TotalThreads(), cfg.Cores)
+		m.Name, len(m.Tenants), m.TotalThreads(), cores)
 	fmt.Printf("variant         %s\n", res.Variant)
 	fmt.Printf("exec time       %v   (%.1fM instr total; wall %v)\n",
 		res.ExecTime, float64(res.Instructions)/1e6, wall.Round(time.Millisecond))
@@ -464,51 +426,14 @@ func runMix(r *runner.Runner, base skybyte.Config, m skybyte.Mix, v skybyte.Vari
 	}
 	fmt.Printf("\nfairness        Jain index %.3f over per-tenant progress rates (max/min %.2f)\n",
 		stats.JainIndex(ips), stats.MaxMinRatio(ips))
-	emitFleet(res)
-	emitTelemetry(res, timelinePath)
 }
 
-// runArrival executes one open-loop design point and prints the
-// per-SLO-class accounting: offered vs delivered request rate, the
-// sojourn-latency percentiles, and the queueing share of the sojourn.
-// instrPerThread matches the solo path's -instr semantics. With
-// -cache-dir the run routes through the runner so identical open-loop
-// runs recall from the store.
-func runArrival(r *runner.Runner, base skybyte.Config, a skybyte.Arrival, v skybyte.Variant, instrPerThread, seed uint64, scale float64, useStore bool, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, timelinePath string) {
-	cfg := base.WithVariant(v)
-	knobs(&cfg)
-	flt.apply(&cfg)
-	nThreads, err := a.TotalThreads()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	total := instrPerThread * uint64(nThreads)
-
-	start := time.Now()
-	var res *skybyte.Result
-	if useStore {
-		res, err = r.Run(context.Background(), runner.Spec{
-			Arrival:      a.Name,
-			ArrivalScale: scale,
-			Variant:      v,
-			TotalInstr:   total,
-			Devices:      flt.devices,
-			Placement:    flt.placement,
-			Tag:          knobTag,
-			Mutate:       knobs,
-		})
-	} else {
-		res, err = skybyte.RunArrival(cfg, a, total, seed, scale)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	wall := time.Since(start)
-
+// printArrival prints one open-loop run's per-SLO-class accounting:
+// offered vs delivered request rate, the sojourn-latency percentiles,
+// and the queueing share of the sojourn.
+func printArrival(res *skybyte.Result, a skybyte.Arrival, scale float64, threads, cores int, wall time.Duration) {
 	fmt.Printf("arrival         %s x%g (%d cohorts, %d threads on %d cores)\n",
-		a.Name, scale, len(a.Cohorts), nThreads, cfg.Cores)
+		a.Name, scale, len(a.Cohorts), threads, cores)
 	fmt.Printf("variant         %s\n", res.Variant)
 	fmt.Printf("exec time       %v   (%.1fM instr total; wall %v)\n",
 		res.ExecTime, float64(res.Instructions)/1e6, wall.Round(time.Millisecond))
@@ -531,8 +456,6 @@ func runArrival(r *runner.Runner, base skybyte.Config, a skybyte.Arrival, v skyb
 	tot := &res.OpenLoop.Total
 	fmt.Printf("\ntotal           %d admitted, %d completed (%.0f rps goodput)\n",
 		tot.Admitted, tot.Completed, tot.GoodputRPS())
-	emitFleet(res)
-	emitTelemetry(res, timelinePath)
 }
 
 // compareVariants runs one workload across several design points on the
@@ -543,25 +466,18 @@ func runArrival(r *runner.Runner, base skybyte.Config, a skybyte.Arrival, v skyb
 // With sharding, only the i-th of n slices executes (populating the
 // store) and no table prints; -from-cache later renders the full
 // comparison without simulating.
-func compareVariants(r *runner.Runner, base skybyte.Config, w skybyte.Workload, vs []system.Variant, threads int, instrPerThread uint64, knobTag string, knobs func(*skybyte.Config), flt fleetFlags, shardI, shardN int, sharded bool) {
+func compareVariants(r *runner.Runner, base skybyte.Config, w skybyte.Workload, vs []system.Variant, threads int, instrPerThread uint64, spec runner.Spec, shardI, shardN int, sharded bool) {
 	specs := make([]runner.Spec, len(vs))
 	for i, v := range vs {
 		n := threads
 		if n == 0 {
 			vcfg := base.WithVariant(v)
-			knobs(&vcfg)
+			spec.Mutate(&vcfg)
 			n = runner.ThreadsFor(vcfg)
 		}
-		specs[i] = runner.Spec{
-			Workload:   w.Name,
-			Variant:    v,
-			TotalInstr: instrPerThread * uint64(n),
-			Threads:    n,
-			Devices:    flt.devices,
-			Placement:  flt.placement,
-			Tag:        knobTag,
-			Mutate:     knobs,
-		}
+		specs[i] = spec
+		specs[i].Workload, specs[i].Variant = w.Name, v
+		specs[i].TotalInstr, specs[i].Threads = instrPerThread*uint64(n), n
 	}
 	run := specs
 	if sharded {

@@ -1,20 +1,16 @@
 package arrival
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 	"sync"
 
-	"skybyte/internal/mem"
+	"skybyte/internal/registry"
 	"skybyte/internal/system"
 	"skybyte/internal/tenant"
-	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
 )
 
@@ -298,8 +294,8 @@ func gateSeed(seed uint64, thread int) uint64 {
 
 // Apply resolves the spec against the workload and mix registries and
 // populates sys as an open-loop run: each cohort's threads become
-// tenant groups over disjoint arenas (mix cohorts expand to one group
-// per mix tenant, exactly as Mix.Apply lays them out), SLO classes are
+// tenant groups over disjoint arenas (tenant.Wire; mix cohorts expand
+// to one group per mix tenant, named cohort/tenant), SLO classes are
 // declared with their analytic offered rates, and every thread gets an
 // arrival gate with its own deterministic sampler stream. rateScale
 // multiplies every cohort's rate — the campaign's intensity axis; 0
@@ -310,31 +306,22 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 		return err
 	}
 	n := sp.normalized()
-
-	// Flatten cohorts into tenant groups.
-	type group struct {
-		name    string
-		w       workloads.Spec
-		threads int
-		cohort  int // index into n.Cohorts
-	}
-	var groups []group
+	var groups []tenant.Group
+	var cohortOf []int // group index → cohort index
 	for i, c := range n.Cohorts {
 		if c.Mix != "" {
 			m, err := tenant.ByName(c.Mix)
 			if err != nil {
 				return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
 			}
-			for _, t := range m.Tenants {
-				w, err := workloads.ByName(t.Workload)
-				if err != nil {
-					return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
-				}
-				tn := t.Name
-				if tn == "" {
-					tn = t.Workload
-				}
-				groups = append(groups, group{name: c.Name + "/" + tn, w: w, threads: t.Threads, cohort: i})
+			gs, err := m.Groups(0)
+			if err != nil {
+				return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
+			}
+			for _, g := range gs {
+				g.Name = c.Name + "/" + g.Name
+				groups = append(groups, g)
+				cohortOf = append(cohortOf, i)
 			}
 			continue
 		}
@@ -342,20 +329,16 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 		if err != nil {
 			return fmt.Errorf("arrival: %q: cohort %q: %w", n.Name, c.Name, err)
 		}
-		groups = append(groups, group{name: c.Name, w: w, threads: c.Threads, cohort: i})
+		groups = append(groups, tenant.Group{Name: c.Name, Workload: w, Threads: c.Threads})
+		cohortOf = append(cohortOf, i)
 	}
-
-	var totalPages uint64
 	totalThreads := 0
-	infos := make([]system.TenantInfo, len(groups))
-	for i, g := range groups {
-		infos[i] = system.TenantInfo{Name: g.name, Workload: g.w.Name, Threads: g.threads}
-		totalPages += g.w.FootprintPages
-		totalThreads += g.threads
+	for _, g := range groups {
+		totalThreads += g.Threads
 	}
-	if logical := sys.FTL().LogicalPages(); totalPages > logical {
-		return fmt.Errorf("arrival: %q: combined footprint %d pages exceeds the device's %d logical pages (shrink the spec or grow the machine)",
-			n.Name, totalPages, logical)
+	per := totalInstr / uint64(totalThreads) // an even split: pacing comes from the arrivals
+	for i := range groups {
+		groups[i].Instr = per
 	}
 	classes, err := n.Classes(rateScale)
 	if err != nil {
@@ -366,47 +349,41 @@ func (sp Spec) Apply(sys *system.System, totalInstr, seed uint64, rateScale floa
 		classIdx[cl.Name] = i
 	}
 
-	sys.DeclareTenants(infos)
+	threads, err := tenant.Wire(sys, fmt.Sprintf("arrival: %q", n.Name), groups, seed)
+	if err != nil {
+		return err
+	}
 	sys.DeclareSLOClasses(classes)
-	per := totalInstr / uint64(totalThreads)
-	var base uint64 // cumulative arena offset, in pages
-	thread := 0
-	for gi, g := range groups {
-		c := n.Cohorts[g.cohort]
-		delta := mem.Addr(base) * mem.PageBytes
-		for k := 0; k < g.threads; k++ {
-			t := sys.AddThreadFor(gi, &trace.Offset{Src: g.w.Stream(k, seed), Delta: delta}, per)
-			gen := NewGen(c.Process, c.Windows, rateScale, gateSeed(seed, thread))
-			sys.AttachGate(t, classIdx[c.Class], gen, c.ReqInstr)
-			thread++
-		}
-		base += g.w.FootprintPages
+	for _, t := range threads {
+		c := n.Cohorts[cohortOf[t.Tenant]]
+		sys.AttachGate(t, classIdx[c.Class], NewGen(c.Process, c.Windows, rateScale, gateSeed(seed, t.ID)), c.ReqInstr)
 	}
 	return nil
 }
 
 // --- registry ---
 
-// registry holds every spec beyond the built-ins, in registration
-// order, mirroring the workload registry's contract: register before
-// building runners or harnesses; re-registering a name replaces it
-// (the file-editing loop); built-in names are reserved.
-var registry = struct {
-	sync.Mutex
-	specs []Spec
-	index map[string]int
-}{index: map[string]int{}}
+// reg resolves every arrival spec: the built-ins plus anything
+// Register or RegisterFile adds, under the workload registry's
+// contract.
+var reg = &registry.Registry[Spec]{
+	Pkg:      "arrival",
+	Noun:     "arrival spec",
+	Preamble: "skybyte-arrivals|",
+	// The built-ins: the steady two-class population figopen sweeps,
+	// and a bursty time-varying schedule.
+	Builtins: sync.OnceValue(func() []Spec { return []Spec{openSteady(), openBurst()} }),
+	Check:    Spec.checked,
+	Name:     func(sp Spec) string { return sp.Name },
+	SourceID: Spec.SourceID,
+}
 
-// builtinSpecs caches the code-defined specs.
-var builtinSpecs = sync.OnceValue(func() []Spec {
-	return []Spec{openSteady(), openBurst()}
-})
-
-// Builtins returns the code-defined arrival specs: the steady
-// two-class population figopen sweeps, and a bursty time-varying
-// schedule. The returned slice is shared — do not mutate.
-func Builtins() []Spec {
-	return builtinSpecs()
+// checked validates the spec and returns its normalized form.
+func (sp Spec) checked() (Spec, error) {
+	if err := sp.Validate(); err != nil {
+		return sp, err
+	}
+	return sp.normalized(), nil
 }
 
 // openSteady is figopen's default population: a latency-sensitive
@@ -451,85 +428,19 @@ func openBurst() Spec {
 	}
 }
 
-func builtinByName(name string) (Spec, bool) {
-	for _, sp := range Builtins() {
-		if sp.Name == name {
-			return sp, true
-		}
-	}
-	return Spec{}, false
-}
-
 // Register adds a spec to the registry, making it resolvable by name
 // everywhere a built-in spec is — ByName, figopen's spec set, the
 // CLIs' -arrival flags. The spec must validate; built-in names are
 // reserved; re-registering a registered name replaces it.
-func Register(sp Spec) error {
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-	if _, ok := builtinByName(sp.Name); ok {
-		return fmt.Errorf("arrival: %q is a built-in arrival spec and cannot be replaced", sp.Name)
-	}
-	n := sp.normalized()
-	registry.Lock()
-	defer registry.Unlock()
-	if i, ok := registry.index[n.Name]; ok {
-		registry.specs[i] = n
-		return nil
-	}
-	registry.index[n.Name] = len(registry.specs)
-	registry.specs = append(registry.specs, n)
-	return nil
-}
-
-// Registered returns the registered (non-built-in) specs in
-// registration order.
-func Registered() []Spec {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]Spec(nil), registry.specs...)
-}
-
-// resetRegistry clears registrations (tests only).
-func resetRegistry() {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.specs = nil
-	registry.index = map[string]int{}
-}
+func Register(sp Spec) error { return reg.Register(sp) }
 
 // Names returns every resolvable spec name: built-ins first, then
 // registered specs in registration order.
-func Names() []string {
-	var out []string
-	for _, sp := range Builtins() {
-		out = append(out, sp.Name)
-	}
-	for _, sp := range Registered() {
-		out = append(out, sp.Name)
-	}
-	return out
-}
+func Names() []string { return reg.Names() }
 
 // ByName resolves any known arrival spec — built-in or registered.
 // Unknown names error with the full valid list.
-func ByName(name string) (Spec, error) {
-	if sp, ok := builtinByName(name); ok {
-		return sp, nil
-	}
-	registry.Lock()
-	i, ok := registry.index[name]
-	var sp Spec
-	if ok {
-		sp = registry.specs[i]
-	}
-	registry.Unlock()
-	if ok {
-		return sp, nil
-	}
-	return Spec{}, fmt.Errorf("arrival: unknown arrival spec %q (valid: %s)", name, strings.Join(Names(), ", "))
-}
+func ByName(name string) (Spec, error) { return reg.ByName(name) }
 
 // FromFile loads a spec from a versioned JSON file (WORKLOADS.md
 // documents the schema). Unknown fields are rejected so a typo fails
@@ -537,20 +448,7 @@ func ByName(name string) (Spec, error) {
 // validated but not registered; RegisterFile also makes it resolvable
 // by name.
 func FromFile(path string) (Spec, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("arrival: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var sp Spec
-	if err := dec.Decode(&sp); err != nil {
-		return Spec{}, fmt.Errorf("arrival: %s: not a valid arrival spec: %w", path, err)
-	}
-	if err := sp.Validate(); err != nil {
-		return Spec{}, fmt.Errorf("arrival: %s: %w", path, err)
-	}
-	return sp.normalized(), nil
+	return registry.DecodeFile(path, "arrival", "not a valid arrival spec", Spec.checked)
 }
 
 // RegisterFile loads a spec from path (FromFile) and registers it, so
@@ -571,15 +469,4 @@ func RegisterFile(path string) (Spec, error) {
 // keys (skybyte.CampaignFingerprint) fold it in next to the workload
 // and mix registry fingerprints, so a CI cache key rotates when any
 // arrival spec — or anything one references — changes.
-func RegistryFingerprint() string {
-	var lines []string
-	for _, sp := range Builtins() {
-		lines = append(lines, sp.Name+"="+sp.SourceID())
-	}
-	for _, sp := range Registered() {
-		lines = append(lines, sp.Name+"="+sp.SourceID())
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte("skybyte-arrivals|" + strings.Join(lines, "\n")))
-	return hex.EncodeToString(sum[:])
-}
+func RegistryFingerprint() string { return reg.Fingerprint() }

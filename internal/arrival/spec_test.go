@@ -14,6 +14,9 @@ import (
 	"skybyte/internal/workloads"
 )
 
+// resetRegistry clears registrations between tests.
+func resetRegistry() { reg.Reset() }
+
 func validSpec() Spec {
 	return Spec{
 		Format: SpecFormatVersion,

@@ -6,6 +6,7 @@ import (
 	"skybyte/internal/fleet"
 	"skybyte/internal/runner"
 	"skybyte/internal/system"
+	"skybyte/internal/workloads"
 )
 
 // figFleetVariants is the fleet table's variant axis: the paper's
@@ -31,17 +32,18 @@ func (h *Harness) FigFleet() Table { return h.table(h.figFleet) }
 
 // figFleetWorkloads resolves the sweep's workload subset against the
 // campaign's workload scope.
-func (h *Harness) figFleetWorkloads() []string {
-	var out []string
+func (h *Harness) figFleetWorkloads() []workloads.Spec {
+	specs := h.specs()
+	var out []workloads.Spec
 	for _, pref := range figFleetPreferred {
-		for _, name := range h.Opt.Workloads {
-			if name == pref {
-				out = append(out, name)
+		for _, s := range specs {
+			if s.Name == pref {
+				out = append(out, s)
 			}
 		}
 	}
-	if len(out) == 0 && len(h.Opt.Workloads) > 0 {
-		out = append(out, h.Opt.Workloads[0])
+	if len(out) == 0 && len(specs) > 0 {
+		out = append(out, specs[0])
 	}
 	return out
 }
@@ -65,11 +67,11 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 			for _, k := range h.Opt.FleetDevices {
 				if k == 1 {
 					pend := p.add(runner.Spec{
-						Workload: w, Variant: v, TotalInstr: h.Opt.SweepInstr,
+						Workload: w.Name, Variant: v, TotalInstr: h.Opt.SweepInstr,
 						Devices: 1,
-					})
-					base[w+"|"+string(v)] = pend
-					cells = append(cells, cell{w, v, 1, string(fleet.Striped), pend})
+					}, w.SourceID(), nil)
+					base[w.Name+"|"+string(v)] = pend
+					cells = append(cells, cell{w.Name, v, 1, string(fleet.Striped), pend})
 					continue
 				}
 				for _, placement := range h.Opt.FleetPlacements {
@@ -77,10 +79,10 @@ func (h *Harness) figFleet(p *Plan) func() Table {
 						continue
 					}
 					pend := p.add(runner.Spec{
-						Workload: w, Variant: v, TotalInstr: h.Opt.SweepInstr,
+						Workload: w.Name, Variant: v, TotalInstr: h.Opt.SweepInstr,
 						Devices: k, Placement: placement,
-					})
-					cells = append(cells, cell{w, v, k, placement, pend})
+					}, w.SourceID(), nil)
+					cells = append(cells, cell{w.Name, v, k, placement, pend})
 				}
 			}
 		}

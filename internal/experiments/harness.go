@@ -254,24 +254,8 @@ func (pe *Pending) Result() *system.Result {
 // instruction budget, thread count (0 = paper default), and a tag
 // naming any config mutations.
 func (p *Plan) Run(spec workloads.Spec, v system.Variant, totalInstr uint64, threads int, tag string, muts ...mutate) *Pending {
-	if p.done {
-		panic("experiments: Plan.Run after Plan.MustExecute")
-	}
-	s := runner.Spec{
-		Workload:   spec.Name,
-		Variant:    v,
-		TotalInstr: totalInstr,
-		Threads:    threads,
-		Tag:        tag,
-	}
-	if len(muts) > 0 {
-		s.Mutate = func(c *system.Config) {
-			for _, m := range muts {
-				m(c)
-			}
-		}
-	}
-	return p.add(s)
+	return p.add(runner.Spec{Workload: spec.Name, Variant: v, TotalInstr: totalInstr, Threads: threads, Tag: tag},
+		spec.SourceID(), muts)
 }
 
 // RunMix declares one multi-tenant design point: the mix's tenant
@@ -279,39 +263,9 @@ func (p *Plan) Run(spec workloads.Spec, v system.Variant, totalInstr uint64, thr
 // total instructions split per the mix's thread counts and
 // intensities. De-duplicates like Run; the executed Result carries the
 // per-tenant accounting slice.
-//
-// The mix must be registered (tenant.Register / MixFromFile) and match
-// its registered definition: specs carry only the mix *name*, and the
-// runner re-resolves it at execution time, so planning an unregistered
-// or locally edited Mix value would silently simulate something other
-// than what the caller passed. Mismatches panic here, at declaration,
-// rather than mis-attribute results later.
 func (p *Plan) RunMix(m tenant.Mix, v system.Variant, totalInstr uint64, tag string, muts ...mutate) *Pending {
-	if p.done {
-		panic("experiments: Plan.RunMix after Plan.MustExecute")
-	}
-	reg, err := tenant.ByName(m.Name)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: Plan.RunMix: mix %q is not registered (tenant.Register or skybyte.MixFromFile it before planning): %v", m.Name, err))
-	}
-	if reg.SourceID() != m.SourceID() {
-		panic(fmt.Sprintf("experiments: Plan.RunMix: mix %q differs from its registered definition; re-register the edited mix before planning", m.Name))
-	}
-	s := runner.Spec{
-		Mix:        m.Name,
-		Variant:    v,
-		TotalInstr: totalInstr,
-		Threads:    m.TotalThreads(),
-		Tag:        tag,
-	}
-	if len(muts) > 0 {
-		s.Mutate = func(c *system.Config) {
-			for _, mu := range muts {
-				mu(c)
-			}
-		}
-	}
-	return p.add(s)
+	return p.add(runner.Spec{Mix: m.Name, Variant: v, TotalInstr: totalInstr, Threads: m.TotalThreads(), Tag: tag},
+		m.SourceID(), muts)
 }
 
 // RunArrival declares one open-loop design point: the arrival spec's
@@ -320,46 +274,41 @@ func (p *Plan) RunMix(m tenant.Mix, v system.Variant, totalInstr uint64, tag str
 // axis; 0 means 1, and the scale is part of the design point's
 // identity). De-duplicates like Run; the executed Result carries the
 // per-SLO-class OpenLoop accounting.
-//
-// Like RunMix, the spec must be registered (arrival.Register /
-// arrival.FromFile) and match its registered definition: runner specs
-// carry only the arrival *name*, re-resolved at execution time, so
-// planning an unregistered or locally edited Spec value would silently
-// simulate something other than what the caller passed.
 func (p *Plan) RunArrival(a arrival.Spec, v system.Variant, totalInstr uint64, scale float64, tag string, muts ...mutate) *Pending {
+	return p.add(runner.Spec{Arrival: a.Name, ArrivalScale: scale, Variant: v, TotalInstr: totalInstr, Tag: tag},
+		a.SourceID(), muts)
+}
+
+// add declares s — whose load the caller holds with source identity
+// src — composing muts into its mutation, de-duplicates it against
+// earlier declarations, and returns its handle.
+//
+// The load must be registered and match its registered definition:
+// specs carry only the load's *name*, and the runner re-resolves it at
+// execution time, so planning an unregistered or locally edited value
+// would silently simulate something other than what the caller
+// passed. Mismatches panic here, at declaration, rather than
+// mis-attribute results later.
+func (p *Plan) add(s runner.Spec, src string, muts []mutate) *Pending {
 	if p.done {
-		panic("experiments: Plan.RunArrival after Plan.MustExecute")
+		panic("experiments: design point planned after Plan.MustExecute")
 	}
-	reg, err := arrival.ByName(a.Name)
+	key, reg, err := s.KeyAndSource()
 	if err != nil {
-		panic(fmt.Sprintf("experiments: Plan.RunArrival: arrival spec %q is not registered (arrival.Register or skybyte.ArrivalFromFile it before planning): %v", a.Name, err))
+		panic(fmt.Sprintf("experiments: cannot plan %s: %v (register the load before planning)", key, err))
 	}
-	if reg.SourceID() != a.SourceID() {
-		panic(fmt.Sprintf("experiments: Plan.RunArrival: arrival spec %q differs from its registered definition; re-register the edited spec before planning", a.Name))
+	if reg != src {
+		panic(fmt.Sprintf("experiments: %s differs from its registered definition; re-register the edited load before planning", key))
 	}
-	s := runner.Spec{
-		Arrival:      a.Name,
-		ArrivalScale: scale,
-		Variant:      v,
-		TotalInstr:   totalInstr,
-		Tag:          tag,
+	if i, ok := p.index[key]; ok {
+		return &Pending{p: p, i: i}
 	}
 	if len(muts) > 0 {
 		s.Mutate = func(c *system.Config) {
-			for _, mu := range muts {
-				mu(c)
+			for _, m := range muts {
+				m(c)
 			}
 		}
-	}
-	return p.add(s)
-}
-
-// add de-duplicates s against earlier declarations and returns its
-// handle.
-func (p *Plan) add(s runner.Spec) *Pending {
-	key := s.Key()
-	if i, ok := p.index[key]; ok {
-		return &Pending{p: p, i: i}
 	}
 	p.index[key] = len(p.specs)
 	p.specs = append(p.specs, s)

@@ -7,11 +7,8 @@ import (
 	"sync"
 	"time"
 
-	"skybyte/internal/arrival"
 	"skybyte/internal/fleet"
 	"skybyte/internal/system"
-	"skybyte/internal/tenant"
-	"skybyte/internal/workloads"
 )
 
 // Event reports one completed simulation to OnEvent.
@@ -281,19 +278,20 @@ func (r *Runner) RunAll(ctx context.Context, specs []Spec) ([]*system.Result, er
 	return results, nil
 }
 
-// execute performs one simulation: wire a fresh System from the mutated
-// variant config and drive every thread stream to retirement. Mix specs
-// resolve their tenant groups and attribute results per tenant.
+// execute performs one simulation: resolve the spec's load, wire a
+// fresh System from the mutated variant config, apply the load, and
+// drive every thread stream to retirement. A mix or arrival spec
+// declares its thread layout; Spec.Threads, if set, must agree with it
+// (a load's thread counts are part of its definition, not a per-run
+// knob).
 func (r *Runner) execute(spec Spec, key string) (*system.Result, error) {
-	if spec.Arrival != "" {
-		return r.executeArrival(spec, key)
-	}
-	if spec.Mix != "" {
-		return r.executeMix(spec, key)
-	}
-	w, err := workloads.ByName(spec.Workload)
+	l, err := spec.resolve()
 	if err != nil {
 		return nil, err
+	}
+	if l.threads != 0 && spec.Threads != 0 && spec.Threads != l.threads {
+		return nil, fmt.Errorf("runner: %q: the load declares %d threads; spec asks for %d (leave Threads 0 or match it)",
+			key, l.threads, spec.Threads)
 	}
 	cfg := r.base.WithVariant(spec.Variant)
 	if spec.Mutate != nil {
@@ -304,75 +302,13 @@ func (r *Runner) execute(spec Spec, key string) (*system.Result, error) {
 	}
 	threads := spec.Threads
 	if threads == 0 {
+		threads = l.threads
+	}
+	if threads == 0 {
 		threads = ThreadsFor(cfg)
 	}
 	sys := system.New(cfg)
-	per := spec.TotalInstr / uint64(threads)
-	for i := 0; i < threads; i++ {
-		sys.AddThread(w.Stream(i, r.seed), per)
-	}
-	res := sys.Run()
-	res.CacheKey = key
-	return res, nil
-}
-
-// executeMix runs one multi-tenant design point: the mix declares the
-// thread layout (Spec.Threads, if set, must agree with it — a mix's
-// thread counts are part of its definition, not a per-run knob).
-func (r *Runner) executeMix(spec Spec, key string) (*system.Result, error) {
-	m, err := tenant.ByName(spec.Mix)
-	if err != nil {
-		return nil, err
-	}
-	if spec.Threads != 0 && spec.Threads != m.TotalThreads() {
-		return nil, fmt.Errorf("runner: mix %q declares %d threads; spec asks for %d (leave Threads 0 or match the mix)",
-			spec.Mix, m.TotalThreads(), spec.Threads)
-	}
-	cfg := r.base.WithVariant(spec.Variant)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	if err := applyFleet(&cfg, spec); err != nil {
-		return nil, err
-	}
-	sys := system.New(cfg)
-	if err := m.Apply(sys, spec.TotalInstr, r.seed); err != nil {
-		return nil, err
-	}
-	res := sys.Run()
-	res.CacheKey = key
-	return res, nil
-}
-
-// executeArrival runs one open-loop design point: the arrival spec
-// declares the cohort thread layout (Spec.Threads, if set, must agree
-// with it — a spec's thread counts are part of its definition, not a
-// per-run knob).
-func (r *Runner) executeArrival(spec Spec, key string) (*system.Result, error) {
-	a, err := arrival.ByName(spec.Arrival)
-	if err != nil {
-		return nil, err
-	}
-	if err := a.Resolve(); err != nil {
-		return nil, err
-	}
-	total, err := a.TotalThreads()
-	if err != nil {
-		return nil, err
-	}
-	if spec.Threads != 0 && spec.Threads != total {
-		return nil, fmt.Errorf("runner: arrival spec %q declares %d threads; spec asks for %d (leave Threads 0 or match the spec)",
-			spec.Arrival, total, spec.Threads)
-	}
-	cfg := r.base.WithVariant(spec.Variant)
-	if spec.Mutate != nil {
-		spec.Mutate(&cfg)
-	}
-	if err := applyFleet(&cfg, spec); err != nil {
-		return nil, err
-	}
-	sys := system.New(cfg)
-	if err := a.Apply(sys, spec.TotalInstr, r.seed, spec.arrivalScale()); err != nil {
+	if err := l.apply(sys, spec.TotalInstr, r.seed, threads); err != nil {
 		return nil, err
 	}
 	res := sys.Run()

@@ -2,6 +2,7 @@ package runner
 
 import (
 	"context"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -221,6 +222,50 @@ func TestUnknownWorkloadErrorsWithoutPoisoning(t *testing.T) {
 	}
 	if _, err := r.Run(context.Background(), spec("nope", system.BaseCSSD, "")); err == nil {
 		t.Fatal("error was cached instead of re-evaluated")
+	}
+}
+
+// TestExecuteRejectsBadLoads: the one execute path refuses every
+// malformed load axis — for every load kind — with an error before
+// anything simulates, and stores nothing under the rejected key.
+// Specs that cannot resolve key as src=unresolved.
+func TestExecuteRejectsBadLoads(t *testing.T) {
+	const budget = 4000
+	cases := []struct {
+		name       string
+		spec       Spec
+		unresolved bool
+	}{
+		{"unknown workload", Spec{Workload: "no-such"}, true},
+		{"unknown mix", Spec{Mix: "no-such-mix"}, true},
+		{"unknown arrival spec", Spec{Arrival: "no-such-arrival"}, true},
+		{"negative threads (workload)", Spec{Workload: "bc", Threads: -1}, true},
+		{"negative threads (mix)", Spec{Mix: "graph-vs-log", Threads: -8}, true},
+		{"negative threads (arrival)", Spec{Arrival: "open-steady", Threads: -1}, true},
+		{"thread mismatch (mix)", Spec{Mix: "graph-vs-log", Threads: 9}, false},
+		{"thread mismatch (arrival)", Spec{Arrival: "open-steady", Threads: 5}, false},
+		{"negative arrival scale", Spec{Arrival: "open-steady", ArrivalScale: -2}, true},
+		{"NaN arrival scale", Spec{Arrival: "open-steady", ArrivalScale: math.NaN()}, true},
+		{"infinite arrival scale", Spec{Arrival: "open-steady", ArrivalScale: math.Inf(1)}, true},
+		{"negative infinite arrival scale", Spec{Arrival: "open-steady", ArrivalScale: math.Inf(-1)}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.spec
+			s.Variant, s.TotalInstr = system.BaseCSSD, budget
+			if got := strings.HasSuffix(s.Key(), "|src=unresolved"); got != c.unresolved {
+				t.Errorf("Key() = %q; unresolved = %v, want %v", s.Key(), got, c.unresolved)
+			}
+			r := testRunner(1)
+			store := NewMemStore()
+			r.Store = store
+			if res, err := r.Run(context.Background(), s); err == nil {
+				t.Fatalf("accepted; simulated %v", res.ExecTime)
+			}
+			if store.Len() != 0 {
+				t.Fatal("a rejected spec reached the store")
+			}
+		})
 	}
 }
 

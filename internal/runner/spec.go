@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,7 +49,8 @@ type Spec struct {
 	// Mutually exclusive with Workload/Mix.
 	Arrival string
 	// ArrivalScale multiplies every cohort rate of an Arrival run — the
-	// campaign's offered-intensity axis (0 means 1). Part of the key.
+	// campaign's offered-intensity axis (0 means 1; negative, NaN and
+	// Inf are rejected). Part of the key.
 	ArrivalScale float64
 	// Variant is the design point applied to the base config.
 	Variant system.Variant
@@ -57,8 +59,9 @@ type Spec struct {
 	// point executes the same program section.
 	TotalInstr uint64
 	// Threads is the software thread count; 0 means the paper default
-	// (ThreadsFor) resolved after Mutate has run — or, for a mix, the
-	// mix's declared total.
+	// (ThreadsFor) resolved after Mutate has run — or, for a mix or an
+	// arrival spec, its declared total (a non-zero value must match
+	// it). Negative counts are rejected.
 	Threads int
 	// Tag distinguishes config mutations that share the same
 	// workload/variant/budget, e.g. "thr10" for a threshold sweep cell.
@@ -91,6 +94,21 @@ type Spec struct {
 // stays warm. An unresolvable name keys as src=unresolved; execution
 // fails before simulating, and nothing is cached under that key.
 func (s Spec) Key() string {
+	key, _, _ := s.KeyAndSource()
+	return key
+}
+
+// KeyAndSource resolves the spec's load once and returns its Key
+// together with the source identity the key's src digest compresses.
+// err reports a load that does not resolve; its key ends in
+// src=unresolved and its source is empty.
+func (s Spec) KeyAndSource() (key, src string, err error) {
+	l, err := s.resolve()
+	digest := "unresolved"
+	if err == nil {
+		sum := sha256.Sum256([]byte(l.src))
+		digest = hex.EncodeToString(sum[:8])
+	}
 	name := s.Workload
 	switch {
 	case s.Arrival != "":
@@ -111,7 +129,8 @@ func (s Spec) Key() string {
 		}
 		fleetSeg = fmt.Sprintf("|fleet=%d:%s", s.Devices, placement)
 	}
-	return fmt.Sprintf("%s|%s|%d|%d|%s%s|src=%s", name, s.Variant, s.TotalInstr, s.Threads, s.Tag, fleetSeg, s.sourceDigest())
+	key = fmt.Sprintf("%s|%s|%d|%d|%s%s|src=%s", name, s.Variant, s.TotalInstr, s.Threads, s.Tag, fleetSeg, digest)
+	return key, l.src, err
 }
 
 // arrivalScale is the effective intensity scale (0 → 1).
@@ -122,31 +141,66 @@ func (s Spec) arrivalScale() float64 {
 	return s.ArrivalScale
 }
 
-// sourceDigest resolves the spec's generator source identity against
-// the live registries and compresses it to 16 hex chars.
-func (s Spec) sourceDigest() string {
-	var src string
-	if s.Arrival != "" {
+// load is a spec's resolved load: what it replays and how it wires a
+// System.
+type load struct {
+	// src is the load's source identity (SourceID of the workload,
+	// mix or arrival spec).
+	src string
+	// threads is the thread count the load declares; 0 leaves it to
+	// the spec (or, failing that, to ThreadsFor the run's config).
+	threads int
+	// apply populates a fresh System with threads threads sharing
+	// totalInstr instructions.
+	apply func(sys *system.System, totalInstr, seed uint64, threads int) error
+}
+
+// resolve validates the spec's load axis and resolves it against the
+// live registries — the one place a load kind is told apart.
+func (s Spec) resolve() (load, error) {
+	if s.Threads < 0 {
+		return load{}, fmt.Errorf("runner: negative thread count %d", s.Threads)
+	}
+	switch {
+	case s.Arrival != "":
+		if sc := s.ArrivalScale; sc < 0 || math.IsNaN(sc) || math.IsInf(sc, 0) {
+			return load{}, fmt.Errorf("runner: arrival scale %g is not a finite non-negative number", sc)
+		}
 		a, err := arrival.ByName(s.Arrival)
 		if err != nil {
-			return "unresolved"
+			return load{}, err
 		}
-		src = a.SourceID()
-	} else if s.Mix != "" {
+		n, err := a.TotalThreads()
+		if err != nil {
+			return load{}, err
+		}
+		scale := s.arrivalScale()
+		return load{src: a.SourceID(), threads: n,
+			apply: func(sys *system.System, totalInstr, seed uint64, _ int) error {
+				return a.Apply(sys, totalInstr, seed, scale)
+			}}, nil
+	case s.Mix != "":
 		m, err := tenant.ByName(s.Mix)
 		if err != nil {
-			return "unresolved"
+			return load{}, err
 		}
-		src = m.SourceID()
-	} else {
-		w, err := workloads.ByName(s.Workload)
-		if err != nil {
-			return "unresolved"
-		}
-		src = w.SourceID()
+		return load{src: m.SourceID(), threads: m.TotalThreads(),
+			apply: func(sys *system.System, totalInstr, seed uint64, _ int) error {
+				return m.Apply(sys, totalInstr, seed)
+			}}, nil
 	}
-	sum := sha256.Sum256([]byte(src))
-	return hex.EncodeToString(sum[:8])
+	w, err := workloads.ByName(s.Workload)
+	if err != nil {
+		return load{}, err
+	}
+	return load{src: w.SourceID(),
+		apply: func(sys *system.System, totalInstr, seed uint64, threads int) error {
+			per := totalInstr / uint64(threads)
+			for i := 0; i < threads; i++ {
+				sys.AddThread(w.Stream(i, seed), per)
+			}
+			return nil
+		}}, nil
 }
 
 // ThreadsFor resolves the paper's §VI-A thread default: 24 threads on 8

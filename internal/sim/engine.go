@@ -165,27 +165,6 @@ func (e *Engine) AfterH(d Time, h HandlerID, a0 uint64, p1, p2 any) {
 	e.AtH(e.now+d, h, a0, p1, p2)
 }
 
-// AtBatch schedules every fn at the same instant t, preserving slice order.
-// Because the batch shares one timestamp and sequence numbers ascend, each
-// record takes the calendar tail-append fast path (or a straight heap push
-// beyond the horizon) — there is no per-event sift or list walk.
-func (e *Engine) AtBatch(t Time, fns []func()) {
-	if len(fns) == 0 {
-		return
-	}
-	if t < e.now {
-		panic("sim: event scheduled in the past")
-	}
-	for _, fn := range fns {
-		ev := e.alloc()
-		ev.at = t
-		e.seq++
-		ev.seq = e.seq
-		ev.fn = fn
-		e.schedule(ev)
-	}
-}
-
 // schedule routes a ready record into the calendar ring or the far heap.
 func (e *Engine) schedule(ev *Event) {
 	if e.calCount == 0 {

@@ -203,29 +203,6 @@ func init() {
 	})
 }
 
-// TestEngineAtBatchFIFO: a batch scheduled at one instant fires in
-// slice order, interleaved FIFO with events scheduled around it.
-func TestEngineAtBatchFIFO(t *testing.T) {
-	var e Engine
-	var got []int
-	e.At(42, func() { got = append(got, 0) })
-	e.AtBatch(42, []func(){
-		func() { got = append(got, 1) },
-		func() { got = append(got, 2) },
-		func() { got = append(got, 3) },
-	})
-	e.At(42, func() { got = append(got, 4) })
-	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("batch tie-break not FIFO: %v", got)
-		}
-	}
-	if len(got) != 5 {
-		t.Fatalf("fired %d of 5", len(got))
-	}
-}
-
 // TestEngineTypedHandlerFIFO: typed (AtH) and closure (At) events at
 // one instant share the sequence space, so mixing the two forms keeps
 // same-instant FIFO.

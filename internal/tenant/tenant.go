@@ -16,17 +16,16 @@
 package tenant
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
-	"sort"
 	"strings"
 	"sync"
 
 	"skybyte/internal/mem"
+	"skybyte/internal/osched"
+	"skybyte/internal/registry"
 	"skybyte/internal/system"
 	"skybyte/internal/trace"
 	"skybyte/internal/workloads"
@@ -196,73 +195,103 @@ func (m Mix) SourceID() string {
 	return "mix:" + hex.EncodeToString(sum[:])
 }
 
-// Apply resolves the mix against the workload registry and populates
-// sys: tenants are declared in order, and each tenant's threads replay
-// its workload's streams 0..Threads-1 (tenant-local indices, matching
-// a solo run) at the tenant's PerThreadInstr budget.
-//
-// Each tenant occupies a disjoint arena: tenant i's streams shift by
-// the cumulative footprint of the tenants before it, so co-located
-// groups contend for the link, the SSD DRAM, the write log, the flash
-// dies, and the scheduler — the interference under study — but never
-// alias each other's data. The combined footprint must fit the
-// device's logical space.
-func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
+// Groups resolves the mix against the workload registry as tenant
+// groups in declaration order, each at its intensity-scaled share of
+// totalInstr (PerThreadInstr).
+func (m Mix) Groups(totalInstr uint64) ([]Group, error) {
 	if err := m.Validate(); err != nil {
-		return err
+		return nil, err
 	}
 	n := m.normalized()
-	infos := make([]system.TenantInfo, len(n.Tenants))
-	specs := make([]workloads.Spec, len(n.Tenants))
-	var totalPages uint64
+	groups := make([]Group, len(n.Tenants))
 	for i, t := range n.Tenants {
 		w, err := workloads.ByName(t.Workload)
 		if err != nil {
-			return fmt.Errorf("tenant: %q: %w", n.Name, err)
+			return nil, fmt.Errorf("tenant: %q: %w", n.Name, err)
 		}
-		specs[i] = w
-		infos[i] = system.TenantInfo{Name: t.Name, Workload: t.Workload, Threads: t.Threads}
-		totalPages += w.FootprintPages
+		groups[i] = Group{Name: t.Name, Workload: w, Threads: t.Threads, Instr: n.PerThreadInstr(i, totalInstr)}
+	}
+	return groups, nil
+}
+
+// Apply resolves the mix against the workload registry and populates
+// sys via Wire: each tenant's threads replay its workload's streams
+// 0..Threads-1 (tenant-local indices, matching a solo run) at the
+// tenant's PerThreadInstr budget.
+func (m Mix) Apply(sys *system.System, totalInstr, seed uint64) error {
+	groups, err := m.Groups(totalInstr)
+	if err != nil {
+		return err
+	}
+	_, err = Wire(sys, fmt.Sprintf("tenant: %q", m.Name), groups, seed)
+	return err
+}
+
+// Group is one tenant group of a co-located run: a named range of
+// threads replaying one workload at a per-thread instruction budget.
+type Group struct {
+	Name     string
+	Workload workloads.Spec
+	Threads  int
+	// Instr is each thread's instruction budget.
+	Instr uint64
+}
+
+// Wire co-locates groups on a fresh sys: it declares them as tenants
+// in order and adds each group's threads, replaying the workload's
+// streams 0..Threads-1. It returns the added threads in order; a
+// thread's ID is its global index and its Tenant its group index.
+//
+// Each group occupies a disjoint arena: group i's streams shift by the
+// cumulative footprint of the groups before it, so co-located groups
+// contend for the link, the SSD DRAM, the write log, the flash dies,
+// and the scheduler — the interference under study — but never alias
+// each other's data. The combined footprint must fit the device's
+// logical space; what names the load in that error.
+func Wire(sys *system.System, what string, groups []Group, seed uint64) ([]*osched.Thread, error) {
+	infos := make([]system.TenantInfo, len(groups))
+	var totalPages uint64
+	for i, g := range groups {
+		infos[i] = system.TenantInfo{Name: g.Name, Workload: g.Workload.Name, Threads: g.Threads}
+		totalPages += g.Workload.FootprintPages
 	}
 	if logical := sys.FTL().LogicalPages(); totalPages > logical {
-		return fmt.Errorf("tenant: %q: combined footprint %d pages exceeds the device's %d logical pages (shrink the mix or grow the machine)",
-			n.Name, totalPages, logical)
+		return nil, fmt.Errorf("%s: combined footprint %d pages exceeds the device's %d logical pages (shrink the load or grow the machine)",
+			what, totalPages, logical)
 	}
 	sys.DeclareTenants(infos)
+	var threads []*osched.Thread
 	var base uint64 // cumulative arena offset, in pages
-	for i, t := range n.Tenants {
-		per := n.PerThreadInstr(i, totalInstr)
+	for i, g := range groups {
 		delta := mem.Addr(base) * mem.PageBytes
-		for k := 0; k < t.Threads; k++ {
-			sys.AddThreadFor(i, &trace.Offset{Src: specs[i].Stream(k, seed), Delta: delta}, per)
+		for k := 0; k < g.Threads; k++ {
+			threads = append(threads, sys.AddThreadFor(i, &trace.Offset{Src: g.Workload.Stream(k, seed), Delta: delta}, g.Instr))
 		}
-		base += specs[i].FootprintPages
+		base += g.Workload.FootprintPages
 	}
-	return nil
+	return threads, nil
 }
 
 // --- registry ---
 
-// registry holds every mix beyond the built-ins, in registration
-// order, mirroring the workload registry's contract: register before
-// building runners or harnesses; re-registering a name replaces it
-// (the file-editing loop); built-in names are reserved.
-var registry = struct {
-	sync.Mutex
-	mixes []Mix
-	index map[string]int
-}{index: map[string]int{}}
+// reg resolves every mix: the built-ins plus anything Register or
+// RegisterFile adds, under the workload registry's contract.
+var reg = &registry.Registry[Mix]{
+	Pkg:      "tenant",
+	Noun:     "mix",
+	Preamble: "skybyte-mixes|",
+	Builtins: sync.OnceValue(func() []Mix { return []Mix{graphVsLog(), scanVsPoint()} }),
+	Check:    Mix.checked,
+	Name:     func(m Mix) string { return m.Name },
+	SourceID: Mix.SourceID,
+}
 
-// builtinMixes caches the code-defined mixes.
-var builtinMixes = sync.OnceValue(func() []Mix {
-	return []Mix{graphVsLog(), scanVsPoint()}
-})
-
-// Builtins returns the code-defined mixes: interference pairings of
-// the extension scenarios and Table I workloads, used by the figmix
-// fairness table. The returned slice is shared — do not mutate.
-func Builtins() []Mix {
-	return builtinMixes()
+// checked validates the mix and returns its normalized form.
+func (m Mix) checked() (Mix, error) {
+	if err := m.Validate(); err != nil {
+		return m, err
+	}
+	return m.normalized(), nil
 }
 
 // graphVsLog co-locates the latency-bound Graph500-style pointer chase
@@ -294,85 +323,19 @@ func scanVsPoint() Mix {
 	}
 }
 
-func builtinByName(name string) (Mix, bool) {
-	for _, m := range Builtins() {
-		if m.Name == name {
-			return m, true
-		}
-	}
-	return Mix{}, false
-}
-
 // Register adds a mix to the registry, making it resolvable by name
 // everywhere a built-in mix is — ByName, figmix's mix set, the CLIs'
 // -mix flags. The mix must validate; built-in names are reserved;
 // re-registering a registered name replaces it.
-func Register(m Mix) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	if _, ok := builtinByName(m.Name); ok {
-		return fmt.Errorf("tenant: %q is a built-in mix and cannot be replaced", m.Name)
-	}
-	n := m.normalized()
-	registry.Lock()
-	defer registry.Unlock()
-	if i, ok := registry.index[n.Name]; ok {
-		registry.mixes[i] = n
-		return nil
-	}
-	registry.index[n.Name] = len(registry.mixes)
-	registry.mixes = append(registry.mixes, n)
-	return nil
-}
-
-// Registered returns the registered (non-built-in) mixes in
-// registration order.
-func Registered() []Mix {
-	registry.Lock()
-	defer registry.Unlock()
-	return append([]Mix(nil), registry.mixes...)
-}
-
-// resetRegistry clears registrations (tests only).
-func resetRegistry() {
-	registry.Lock()
-	defer registry.Unlock()
-	registry.mixes = nil
-	registry.index = map[string]int{}
-}
+func Register(m Mix) error { return reg.Register(m) }
 
 // Names returns every resolvable mix name: built-ins first, then
 // registered mixes in registration order.
-func Names() []string {
-	var out []string
-	for _, m := range Builtins() {
-		out = append(out, m.Name)
-	}
-	for _, m := range Registered() {
-		out = append(out, m.Name)
-	}
-	return out
-}
+func Names() []string { return reg.Names() }
 
 // ByName resolves any known mix — built-in or registered. Unknown
 // names error with the full valid list.
-func ByName(name string) (Mix, error) {
-	if m, ok := builtinByName(name); ok {
-		return m, nil
-	}
-	registry.Lock()
-	i, ok := registry.index[name]
-	var m Mix
-	if ok {
-		m = registry.mixes[i]
-	}
-	registry.Unlock()
-	if ok {
-		return m, nil
-	}
-	return Mix{}, fmt.Errorf("tenant: unknown mix %q (valid: %s)", name, strings.Join(Names(), ", "))
-}
+func ByName(name string) (Mix, error) { return reg.ByName(name) }
 
 // FromFile loads a mix from a versioned JSON file (WORKLOADS.md
 // documents the schema). Unknown fields are rejected so a typo fails
@@ -380,20 +343,7 @@ func ByName(name string) (Mix, error) {
 // validated but not registered; RegisterFile also makes it resolvable
 // by name.
 func FromFile(path string) (Mix, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Mix{}, fmt.Errorf("tenant: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var m Mix
-	if err := dec.Decode(&m); err != nil {
-		return Mix{}, fmt.Errorf("tenant: %s: not a valid mix definition: %w", path, err)
-	}
-	if err := m.Validate(); err != nil {
-		return Mix{}, fmt.Errorf("tenant: %s: %w", path, err)
-	}
-	return m.normalized(), nil
+	return registry.DecodeFile(path, "tenant", "not a valid mix definition", Mix.checked)
 }
 
 // RegisterFile loads a mix from path (FromFile) and registers it, so
@@ -414,15 +364,4 @@ func RegisterFile(path string) (Mix, error) {
 // (skybyte.CampaignFingerprint) fold it in next to the workload
 // registry fingerprint, so a CI cache key rotates when any mix — or
 // any workload a mix references — changes.
-func RegistryFingerprint() string {
-	var lines []string
-	for _, m := range Builtins() {
-		lines = append(lines, m.Name+"="+m.SourceID())
-	}
-	for _, m := range Registered() {
-		lines = append(lines, m.Name+"="+m.SourceID())
-	}
-	sort.Strings(lines)
-	sum := sha256.Sum256([]byte("skybyte-mixes|" + strings.Join(lines, "\n")))
-	return hex.EncodeToString(sum[:])
-}
+func RegistryFingerprint() string { return reg.Fingerprint() }

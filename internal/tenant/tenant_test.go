@@ -10,6 +10,9 @@ import (
 	"skybyte/internal/workloads"
 )
 
+// resetRegistry clears registrations between tests.
+func resetRegistry() { reg.Reset() }
+
 func validMix() Mix {
 	return Mix{
 		Format: MixFormatVersion,

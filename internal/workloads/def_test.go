@@ -12,6 +12,9 @@ import (
 )
 
 // testDef is a small valid definition exercising every kernel.
+// resetRegistry clears registrations between tests.
+func resetRegistry() { reg.Reset() }
+
 func testDef() Def {
 	return Def{
 		Format:         DefFormatVersion,

@@ -1,11 +1,10 @@
 package workloads
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 
+	"skybyte/internal/registry"
 	"skybyte/internal/trace"
 )
 
@@ -46,21 +45,7 @@ func FromFile(path string) (Spec, error) {
 		}
 		return s, nil
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Spec{}, fmt.Errorf("workloads: %w", err)
-	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var d Def
-	if err := dec.Decode(&d); err != nil {
-		return Spec{}, fmt.Errorf("workloads: %s: not a trace and not a valid workload definition: %w", path, err)
-	}
-	s, err := d.Spec()
-	if err != nil {
-		return Spec{}, fmt.Errorf("workloads: %s: %w", path, err)
-	}
-	return s, nil
+	return registry.DecodeFile(path, "workloads", "not a trace and not a valid workload definition", Def.Spec)
 }
 
 // RegisterFile loads a workload from path (FromFile) and registers it,
