@@ -68,7 +68,9 @@ type blockMeta struct {
 	nextPage int32 // next programmable page offset when open
 }
 
-const unmapped = int64(-1)
+// unmapped marks an empty l2p/p2l slot. Tables hold 32-bit entries, so
+// New rejects geometries whose page numbers could reach this value.
+const unmapped = ^uint32(0)
 
 // FTL is the translation layer bound to one flash array.
 type FTL struct {
@@ -78,8 +80,8 @@ type FTL struct {
 	cfg Config
 
 	logicalPages uint64
-	l2p          []int64
-	p2l          []int64
+	l2p          []uint32
+	p2l          []uint32
 	blocks       []blockMeta
 	freeBlocks   [][]uint32 // per-channel stacks
 	open         []int64    // per-channel open block (-1 = none)
@@ -93,26 +95,27 @@ type FTL struct {
 // New builds an FTL over arr.
 func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 	geo := arr.Geo
+	logical := uint64(float64(geo.TotalPages()) * cfg.UsableRatio)
+	if max(geo.TotalPages(), logical) >= uint64(unmapped) {
+		panic(fmt.Sprintf("ftl: geometry %+v has %d pages (%d logical); 32-bit mapping tables hold fewer than %d",
+			geo, geo.TotalPages(), logical, unmapped))
+	}
 	f := &FTL{
 		eng:          eng,
 		arr:          arr,
 		geo:          geo,
 		cfg:          cfg,
-		logicalPages: uint64(float64(geo.TotalPages()) * cfg.UsableRatio),
-		l2p:          make([]int64, uint64(float64(geo.TotalPages())*cfg.UsableRatio)),
-		p2l:          make([]int64, geo.TotalPages()),
+		logicalPages: logical,
+		l2p:          make([]uint32, logical),
+		p2l:          make([]uint32, geo.TotalPages()),
 		blocks:       make([]blockMeta, geo.TotalBlocks()),
 		freeBlocks:   make([][]uint32, geo.Channels),
 		open:         make([]int64, geo.Channels),
 		gcBusyUntil:  make([]sim.Time, geo.Channels),
 		inGC:         make([]bool, geo.Channels),
 	}
-	for i := range f.l2p {
-		f.l2p[i] = unmapped
-	}
-	for i := range f.p2l {
-		f.p2l[i] = unmapped
-	}
+	fillUnmapped(f.l2p)
+	fillUnmapped(f.p2l)
 	for b := geo.TotalBlocks() - 1; b >= 0; b-- {
 		ch := geo.ChannelOfBlock(uint32(b))
 		f.freeBlocks[ch] = append(f.freeBlocks[ch], uint32(b))
@@ -121,6 +124,18 @@ func New(eng *sim.Engine, arr *flash.Array, cfg Config) *FTL {
 		f.open[ch] = -1
 	}
 	return f
+}
+
+// fillUnmapped sets every entry of t to unmapped by doubling a filled
+// prefix with copy, which runs at memmove speed.
+func fillUnmapped(t []uint32) {
+	if len(t) == 0 {
+		return
+	}
+	t[0] = unmapped
+	for i := 1; i < len(t); i *= 2 {
+		copy(t[i:], t[:i])
+	}
 }
 
 // LogicalPages returns the exposed logical capacity in pages.
@@ -207,8 +222,8 @@ func (f *FTL) channelWritable(ch int) bool {
 func (f *FTL) writeTo(ch int, lpa uint64, data []byte, done func(), gc bool) {
 	ppa := f.allocPage(ch)
 	f.invalidate(lpa)
-	f.l2p[lpa] = int64(ppa)
-	f.p2l[ppa] = int64(lpa)
+	f.l2p[lpa] = uint32(ppa)
+	f.p2l[ppa] = uint32(lpa)
 	b := f.geo.BlockOfPPA(ppa)
 	f.blocks[b].valid++
 	if gc {
@@ -391,7 +406,7 @@ func (f *FTL) CheckInvariants() error {
 		if p == unmapped {
 			continue
 		}
-		if f.p2l[p] != int64(lpa) {
+		if f.p2l[p] != uint32(lpa) {
 			return fmt.Errorf("l2p/p2l mismatch at lpa %d", lpa)
 		}
 		valid[f.geo.BlockOfPPA(uint64(p))]++
@@ -416,20 +431,20 @@ func (f *FTL) CheckInvariants() error {
 	return nil
 }
 
-// Precondition pre-maps fillRatio of the logical space sequentially and
-// then rewrites rewriteRatio of those pages at random, creating scattered
-// invalid pages so GC triggers early in a run (paper §VI-A: "we
-// precondition the SSD to ensure garbage collections will be triggered").
-// Metadata-only: no flash timing is charged.
-func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
+// precondition is the preconditioning algorithm behind Precondition: it
+// pre-maps fillRatio of the logical space sequentially and then rewrites
+// rewriteRatio of those pages at random. Only l2p, p2l, blocks, the free
+// stacks, open and nextChan change; every mapped lpa stays below
+// fillRatio*LogicalPages.
+func (f *FTL) precondition(fillRatio, rewriteRatio float64, seed uint64) {
 	n := uint64(fillRatio * float64(f.logicalPages))
 	for lpa := uint64(0); lpa < n; lpa++ {
 		ch := f.nextChan
 		f.nextChan = (f.nextChan + 1) % f.geo.Channels
 		ppa := f.allocPage(ch)
 		f.invalidate(lpa)
-		f.l2p[lpa] = int64(ppa)
-		f.p2l[ppa] = int64(lpa)
+		f.l2p[lpa] = uint32(ppa)
+		f.p2l[ppa] = uint32(lpa)
 		f.blocks[f.geo.BlockOfPPA(ppa)].valid++
 	}
 	rng := trace.NewRNG(seed)
@@ -445,8 +460,8 @@ func (f *FTL) Precondition(fillRatio, rewriteRatio float64, seed uint64) {
 		// Metadata-only rewrite; may perform metadata GC if space is tight.
 		ppa := f.allocPageQuiet(ch)
 		f.invalidate(lpa)
-		f.l2p[lpa] = int64(ppa)
-		f.p2l[ppa] = int64(lpa)
+		f.l2p[lpa] = uint32(ppa)
+		f.p2l[ppa] = uint32(lpa)
 		f.blocks[f.geo.BlockOfPPA(ppa)].valid++
 	}
 }
@@ -476,8 +491,8 @@ func (f *FTL) allocPageQuiet(ch int) uint64 {
 		f.freeBlocks[ch] = append(f.freeBlocks[ch], uint32(victim))
 		for _, lpa := range moved {
 			ppa := f.allocPageQuiet(ch)
-			f.l2p[lpa] = int64(ppa)
-			f.p2l[ppa] = int64(lpa)
+			f.l2p[lpa] = uint32(ppa)
+			f.p2l[ppa] = uint32(lpa)
 			f.blocks[f.geo.BlockOfPPA(ppa)].valid++
 		}
 	}

@@ -11,8 +11,7 @@ import (
 
 func tinySetup() (*sim.Engine, *flash.Array, *FTL) {
 	eng := &sim.Engine{}
-	geo := flash.Geometry{Channels: 2, ChipsPerChan: 1, DiesPerChip: 1, PlanesPerDie: 1, BlocksPerPlane: 8, PagesPerBlock: 8}
-	arr := flash.New(eng, geo, flash.TimingULL)
+	arr := flash.New(eng, tinyGeo, flash.TimingULL)
 	f := New(eng, arr, DefaultConfig())
 	return eng, arr, f
 }

@@ -1,8 +1,10 @@
 package system
 
 import (
+	"bytes"
 	"testing"
 
+	"skybyte/internal/ftl"
 	"skybyte/internal/mem"
 	"skybyte/internal/osched"
 	"skybyte/internal/sim"
@@ -336,3 +338,36 @@ func TestMoreThreadsThanWorkStillTerminates(t *testing.T) {
 }
 
 func allFinished(s *System) bool { return s.finished == len(s.threads) }
+
+// TestPreconditionMemoKeepsResultsIdentical runs one design point with a
+// cold preconditioning memo, then again restoring from the warm memo: the
+// encoded results must match byte for byte. The fleet of two also
+// restores device 1's state, preconditioned under Seed+1.
+func TestPreconditionMemoKeepsResultsIdentical(t *testing.T) {
+	for _, devices := range []int{0, 2} {
+		run := func() []byte {
+			r := runFleet(t, fleetConfigOf(SkyByteFull, devices, ""), 4, 6000,
+				func(i int) trace.Stream { return scatterStream(uint64(i)+1, 32768, 0.3, 16) })
+			enc, err := EncodeResult(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return enc
+		}
+		ftl.ResetMemo()
+		cold := run()
+		if warm := run(); !bytes.Equal(cold, warm) {
+			t.Errorf("devices=%d: result with a warm memo differs from the cold one", devices)
+		}
+	}
+}
+
+// BenchmarkSystemNew times wiring one ScaledConfig SkyByte-Full machine,
+// preconditioning included (a memo hit after the first iteration).
+func BenchmarkSystemNew(b *testing.B) {
+	cfg := ScaledConfig().WithVariant(SkyByteFull)
+	b.ReportAllocs()
+	for b.Loop() {
+		New(cfg)
+	}
+}
