@@ -3,8 +3,8 @@
 // through typed handlers, so a steady-state design point performs O(1)
 // allocations per off-chip request, not O(events). This test pins that
 // property: the pre-pooling engine spent ~274k allocations (~21 per
-// request) on this exact run; the budgets below sit ~3x above today's
-// measurement (~10.7k, 0.82/request) and ~8x below the old cost, so a
+// request) on this exact run; the budgets below sit ~8x above today's
+// measurement (~4.2k, 0.32/request) and ~8x below the old cost, so a
 // regression that reintroduces per-event garbage fails loudly while
 // normal drift does not. Allocation counts are hardware-independent,
 // which makes this the portable half of the perf gate (BENCH_7.json and

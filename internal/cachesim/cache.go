@@ -50,71 +50,75 @@ func (s Stats) MissRate() float64 {
 // denominator a windowed hit-ratio probe differences between samples.
 func (s Stats) Accesses() uint64 { return s.Hits + s.Misses }
 
+// way is one cache way. A set's ways are adjacent in Cache.ways, so a
+// probe walks one contiguous 16-byte-stride run of memory.
+type way struct {
+	tag   uint64
+	lru   uint32 // recency stamp
+	valid bool   // tag is meaningful only when set
+	dirty bool
+}
+
 // Cache is a set-associative, true-LRU, tag-only cache.
 type Cache struct {
 	cfg      Config
 	sets     int
-	ways     int
-	lineMask mem.Addr
+	assoc    int
 	setMask  uint64
 	shift    uint
 	setShift uint // log2(sets), precomputed off the probe path
 
-	tags  []uint64 // sets*ways; tag==0 slot may still be valid, see valid
-	valid []bool
-	dirty []bool
-	lru   []uint32 // recency stamp per way
+	ways  []way // sets*assoc, set-major
 	clock uint32
 
 	Stats Stats
 }
 
-// New builds a cache. Size must be a multiple of ways*lineBytes and the set
-// count must be a power of two.
+// New builds a cache. It panics, naming the cache, unless LineBytes is a
+// power of two, SizeBytes is a positive multiple of Ways*LineBytes, and
+// the resulting set count is a power of two.
 func New(cfg Config) *Cache {
 	if cfg.LineBytes == 0 {
 		cfg.LineBytes = mem.LineBytes
 	}
 	if cfg.Ways <= 0 {
-		panic("cachesim: ways must be positive")
+		panic(fmt.Sprintf("cachesim: %s: ways must be positive", cfg.Name))
 	}
-	lines := cfg.SizeBytes / cfg.LineBytes
-	sets := lines / cfg.Ways
-	if sets == 0 {
-		sets = 1
+	if cfg.LineBytes < 0 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		panic(fmt.Sprintf("cachesim: %s: line size %d not a power of two", cfg.Name, cfg.LineBytes))
 	}
+	setBytes := cfg.Ways * cfg.LineBytes
+	if cfg.SizeBytes <= 0 || cfg.SizeBytes%setBytes != 0 {
+		panic(fmt.Sprintf("cachesim: %s: size %d B not a positive multiple of %d ways x %d B lines",
+			cfg.Name, cfg.SizeBytes, cfg.Ways, cfg.LineBytes))
+	}
+	sets := cfg.SizeBytes / setBytes
 	if sets&(sets-1) != 0 {
 		panic(fmt.Sprintf("cachesim: %s: set count %d not a power of two", cfg.Name, sets))
 	}
-	shift := uint(0)
-	for 1<<shift < cfg.LineBytes {
-		shift++
-	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
 		sets:     sets,
-		ways:     cfg.Ways,
-		lineMask: mem.Addr(cfg.LineBytes - 1),
+		assoc:    cfg.Ways,
 		setMask:  uint64(sets - 1),
-		shift:    shift,
+		shift:    uint(log2(cfg.LineBytes)),
 		setShift: uint(log2(sets)),
-		tags:     make([]uint64, sets*cfg.Ways),
-		valid:    make([]bool, sets*cfg.Ways),
-		dirty:    make([]bool, sets*cfg.Ways),
-		lru:      make([]uint32, sets*cfg.Ways),
+		ways:     make([]way, sets*cfg.Ways),
 	}
-	return c
 }
 
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.sets }
 
 // Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
+func (c *Cache) Ways() int { return c.assoc }
 
-func (c *Cache) index(a mem.Addr) (set int, tag uint64) {
+// set returns the ways of a's set and a's tag.
+func (c *Cache) set(a mem.Addr) (set int, ways []way, tag uint64) {
 	ln := uint64(a) >> c.shift
-	return int(ln & c.setMask), ln >> c.setShift
+	set = int(ln & c.setMask)
+	base := set * c.assoc
+	return set, c.ways[base : base+c.assoc], ln >> c.setShift
 }
 
 func log2(n int) int {
@@ -125,16 +129,20 @@ func log2(n int) int {
 	return k
 }
 
-// Lookup probes the cache without changing replacement state or stats.
-func (c *Cache) Lookup(a mem.Addr) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		if c.valid[base+w] && c.tags[base+w] == tag {
-			return true
+// find returns the way holding tag, or nil.
+func find(ways []way, tag uint64) *way {
+	for i := range ways {
+		if w := &ways[i]; w.valid && w.tag == tag {
+			return w
 		}
 	}
-	return false
+	return nil
+}
+
+// Lookup probes the cache without changing replacement state or stats.
+func (c *Cache) Lookup(a mem.Addr) bool {
+	_, ways, tag := c.set(a)
+	return find(ways, tag) != nil
 }
 
 // Access performs a demand access. If the line is present it is touched
@@ -142,19 +150,9 @@ func (c *Cache) Lookup(a mem.Addr) bool {
 // is NOT allocated — callers decide whether and when to Fill (after the next
 // level responds).
 func (c *Cache) Access(a mem.Addr, write bool) (hit bool) {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.clock++
-			c.lru[i] = c.clock
-			if write {
-				c.dirty[i] = true
-			}
-			c.Stats.Hits++
-			return true
-		}
+	if c.Update(a, write) {
+		c.Stats.Hits++
+		return true
 	}
 	c.Stats.Misses++
 	return false
@@ -164,67 +162,66 @@ func (c *Cache) Access(a mem.Addr, write bool) (hit bool) {
 // dirtying it) without recording demand statistics — used when victims
 // cascade down the hierarchy, which must not perturb miss-rate accounting.
 func (c *Cache) Update(a mem.Addr, dirty bool) bool {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.clock++
-			c.lru[i] = c.clock
-			if dirty {
-				c.dirty[i] = true
-			}
-			return true
-		}
+	_, ways, tag := c.set(a)
+	w := find(ways, tag)
+	if w == nil {
+		return false
 	}
-	return false
+	c.clock++
+	w.lru = c.clock
+	if dirty {
+		w.dirty = true
+	}
+	return true
 }
 
 // Fill allocates the line (after a miss was serviced), marking it dirty if
 // the triggering access was a write. It returns the victim line, which is
 // valid if an occupied way was evicted.
+//
+// One pass over the set finds the line if it is already present (a raced
+// fill, which only updates it), the first invalid way, and the least
+// recently used way, the last of equal stamps winning. The victim is the
+// first invalid way if there is one, else the least recently used way.
 func (c *Cache) Fill(a mem.Addr, dirty bool) Victim {
-	set, tag := c.index(a)
-	base := set * c.ways
-	// Already present (raced fill): just update.
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
+	set, ways, tag := c.set(a)
+	invalid, oldest := -1, 0
+	oldestStamp := ^uint32(0)
+	for i := range ways {
+		w := &ways[i]
+		if !w.valid {
+			if invalid < 0 {
+				invalid = i
+			}
+			continue
+		}
+		if w.tag == tag {
 			c.clock++
-			c.lru[i] = c.clock
+			w.lru = c.clock
 			if dirty {
-				c.dirty[i] = true
+				w.dirty = true
 			}
 			return Victim{}
 		}
-	}
-	victimWay := -1
-	var oldest uint32 = ^uint32(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victimWay = w
-			break
-		}
-		if c.lru[i] <= oldest {
-			oldest = c.lru[i]
-			victimWay = w
+		if w.lru <= oldestStamp {
+			oldestStamp = w.lru
+			oldest = i
 		}
 	}
-	i := base + victimWay
+	if invalid >= 0 {
+		oldest = invalid
+	}
+	w := &ways[oldest]
 	var v Victim
-	if c.valid[i] {
-		v = Victim{Addr: c.lineAddr(set, c.tags[i]), Dirty: c.dirty[i], Valid: true}
+	if w.valid {
+		v = Victim{Addr: c.lineAddr(set, w.tag), Dirty: w.dirty, Valid: true}
 		c.Stats.Evictions++
-		if c.dirty[i] {
+		if w.dirty {
 			c.Stats.DirtyEvs++
 		}
 	}
 	c.clock++
-	c.tags[i] = tag
-	c.valid[i] = true
-	c.dirty[i] = dirty
-	c.lru[i] = c.clock
+	*w = way{tag: tag, lru: c.clock, valid: true, dirty: dirty}
 	return v
 }
 
@@ -234,40 +231,37 @@ func (c *Cache) lineAddr(set int, tag uint64) mem.Addr {
 
 // Invalidate drops the line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(a mem.Addr) (wasPresent, wasDirty bool) {
-	set, tag := c.index(a)
-	base := set * c.ways
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.valid[i] = false
-			return true, c.dirty[i]
-		}
+	_, ways, tag := c.set(a)
+	w := find(ways, tag)
+	if w == nil {
+		return false, false
 	}
-	return false, false
+	w.valid = false
+	return true, w.dirty
 }
 
 // FlushAll invalidates every line, invoking victim for each valid line (so
 // dirty data can be written down the hierarchy). Used to model the cache
 // pollution side effect of a context switch.
 func (c *Cache) FlushAll(victim func(Victim)) {
-	for i := range c.valid {
-		if !c.valid[i] {
+	for i := range c.ways {
+		w := &c.ways[i]
+		if !w.valid {
 			continue
 		}
 		if victim != nil {
-			set := (i / c.ways)
-			victim(Victim{Addr: c.lineAddr(set, c.tags[i]), Dirty: c.dirty[i], Valid: true})
+			victim(Victim{Addr: c.lineAddr(i/c.assoc, w.tag), Dirty: w.dirty, Valid: true})
 		}
-		c.valid[i] = false
-		c.dirty[i] = false
+		w.valid = false
+		w.dirty = false
 	}
 }
 
 // Occupancy returns the number of valid lines.
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, v := range c.valid {
-		if v {
+	for i := range c.ways {
+		if c.ways[i].valid {
 			n++
 		}
 	}

@@ -1,6 +1,9 @@
 package cachesim
 
 import (
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -129,51 +132,97 @@ func TestPageGranularCache(t *testing.T) {
 	}
 }
 
-// Property: against a reference model (map + per-set LRU list), the cache
-// agrees on hit/miss for random access sequences.
+// Property: against a positional reference model (per-set ways with
+// recency stamps), the cache agrees on hit/miss, on what Invalidate finds,
+// on every Fill's victim, and on the way order FlushAll reports lines in,
+// for random read, write, invalidate and flush sequences. Invalidations
+// leave holes in a set; the reference fills the first invalid way, else
+// evicts the least recently used one.
 func TestAgainstReferenceModel(t *testing.T) {
+	const sets, ways = 4, 4
 	f := func(seed uint64) bool {
-		c := New(Config{Name: "ref", SizeBytes: 16 * 64, Ways: 4}) // 4 sets
-		type refLine struct {
-			addr  mem.Addr
-			stamp int
+		c := New(Config{Name: "ref", SizeBytes: sets * ways * 64, Ways: ways})
+		type refWay struct {
+			addr         mem.Addr
+			stamp        int
+			valid, dirty bool
 		}
-		ref := map[int][]refLine{} // set -> lines, unbounded order
+		var ref [sets][ways]refWay
 		stamp := 0
 		rng := trace.NewRNG(seed)
 		for op := 0; op < 3000; op++ {
 			a := mem.Addr(rng.Uint64n(64)) * 64 // 64 distinct lines
-			set := int(uint64(a) >> 6 & 3)
-			// Reference lookup.
-			refHit := false
-			lines := ref[set]
-			for i := range lines {
-				if lines[i].addr == a {
-					refHit = true
-					stamp++
-					lines[i].stamp = stamp
+			set := &ref[uint64(a)>>6&(sets-1)]
+			var line *refWay
+			for i := range set {
+				if set[i].valid && set[i].addr == a {
+					line = &set[i]
+				}
+			}
+			if rng.Intn(500) == 0 {
+				var want, got []Victim
+				for s := range ref {
+					for w := range ref[s] {
+						if rw := &ref[s][w]; rw.valid {
+							want = append(want, Victim{Addr: rw.addr, Dirty: rw.dirty, Valid: true})
+							*rw = refWay{}
+						}
+					}
+				}
+				c.FlushAll(func(v Victim) { got = append(got, v) })
+				if !slices.Equal(got, want) {
+					t.Logf("op %d: FlushAll victims = %+v, want %+v", op, got, want)
+					return false
+				}
+				continue
+			}
+			if rng.Intn(8) == 0 {
+				present, dirty := c.Invalidate(a)
+				if present != (line != nil) || (line != nil && dirty != line.dirty) {
+					t.Logf("op %d: Invalidate(%#x) = %v,%v", op, a, present, dirty)
+					return false
+				}
+				if line != nil {
+					line.valid = false
+				}
+				continue
+			}
+			write := rng.Bool(0.3)
+			if hit := c.Access(a, write); hit != (line != nil) {
+				t.Logf("op %d: Access(%#x) hit=%v", op, a, hit)
+				return false
+			}
+			stamp++
+			if line != nil {
+				line.stamp = stamp
+				line.dirty = line.dirty || write
+				continue
+			}
+			victim := -1
+			for i := range set {
+				if !set[i].valid {
+					victim = i
 					break
 				}
 			}
-			hit := c.Access(a, false)
-			if hit != refHit {
+			if victim < 0 {
+				victim = 0
+				for i := range set {
+					if set[i].stamp < set[victim].stamp {
+						victim = i
+					}
+				}
+			}
+			old := set[victim]
+			want := Victim{}
+			if old.valid {
+				want = Victim{Addr: old.addr, Dirty: old.dirty, Valid: true}
+			}
+			if got := c.Fill(a, write); got != want {
+				t.Logf("op %d: Fill(%#x) victim = %+v, want %+v", op, a, got, want)
 				return false
 			}
-			if !hit {
-				c.Fill(a, false)
-				stamp++
-				if len(lines) == 4 {
-					// Evict LRU from reference.
-					lruI := 0
-					for i := range lines {
-						if lines[i].stamp < lines[lruI].stamp {
-							lruI = i
-						}
-					}
-					lines = append(lines[:lruI], lines[lruI+1:]...)
-				}
-				ref[set] = append(lines, refLine{addr: a, stamp: stamp})
-			}
+			set[victim] = refWay{addr: a, stamp: stamp, valid: true, dirty: write}
 		}
 		return true
 	}
@@ -194,6 +243,46 @@ func TestOccupancyBound(t *testing.T) {
 		}
 		if c.Occupancy() > 32 {
 			t.Fatal("occupancy exceeded capacity")
+		}
+	}
+}
+
+func TestNewRejectsBadGeometry(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"zero ways", Config{Name: "z", SizeBytes: 512, Ways: 0}, "z: ways must be positive"},
+		{"size below one set", Config{Name: "tiny", SizeBytes: 100, Ways: 8}, "tiny: size 100 B not a positive multiple"},
+		{"size not a set multiple", Config{Name: "odd", SizeBytes: 65600, Ways: 16}, "odd: size 65600 B not a positive multiple"},
+		{"zero size", Config{Name: "none", SizeBytes: 0, Ways: 4}, "none: size 0 B"},
+		{"negative size", Config{Name: "neg", SizeBytes: -1024, Ways: 4}, "neg: size -1024 B"},
+		{"line not a power of two", Config{Name: "l96", SizeBytes: 96 * 8, Ways: 8, LineBytes: 96}, "l96: line size 96 not a power of two"},
+		{"negative line", Config{Name: "lneg", SizeBytes: 512, Ways: 8, LineBytes: -64}, "lneg: line size -64"},
+		{"sets not a power of two", Config{Name: "s3", SizeBytes: 3 * 4 * 64, Ways: 4}, "s3: set count 3 not a power of two"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want it to contain %q", msg, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		})
+	}
+	for _, cfg := range []Config{
+		{Name: "one set", SizeBytes: 8 * 64, Ways: 8},
+		{Name: "llc", SizeBytes: 256 * mem.KiB, Ways: 16},
+		{Name: "page", SizeBytes: 32 * mem.PageBytes, Ways: 16, LineBytes: mem.PageBytes},
+	} {
+		c := New(cfg)
+		lb := cfg.LineBytes
+		if lb == 0 {
+			lb = mem.LineBytes
+		}
+		if got := c.Sets() * c.Ways() * lb; got != cfg.SizeBytes {
+			t.Errorf("%s: built %d B, want %d B", cfg.Name, got, cfg.SizeBytes)
 		}
 	}
 }
@@ -226,5 +315,21 @@ func BenchmarkAccessMissFill(b *testing.B) {
 		if !c.Access(a, false) {
 			c.Fill(a, false)
 		}
+	}
+}
+
+// BenchmarkFillEvict fills at the ScaledConfig LLC geometry (256 KiB, 16
+// ways) over a working set four times the cache, so every fill after the
+// first pass scans a full set and evicts.
+func BenchmarkFillEvict(b *testing.B) {
+	c := New(Config{Name: "llc", SizeBytes: 256 * mem.KiB, Ways: 16})
+	const lines = 4 * 256 * mem.KiB / mem.LineBytes
+	for i := 0; i < lines; i++ {
+		c.Fill(mem.Addr(i*mem.LineBytes), i%3 == 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Fill(mem.Addr(i%lines*mem.LineBytes), i%3 == 0)
 	}
 }

@@ -252,14 +252,6 @@ func (c *Controller) Cache() *PageCache { return c.cache }
 // Logs returns the two write-log halves (nil when disabled).
 func (c *Controller) Logs() [2]*writelog.Log { return c.logs }
 
-// LogIndexBytes returns the current combined log index footprint.
-func (c *Controller) LogIndexBytes() int {
-	if !c.cfg.WriteLogEnabled {
-		return 0
-	}
-	return c.logs[0].IndexBytes() + c.logs[1].IndexBytes()
-}
-
 // Compacting reports whether a log half is draining.
 func (c *Controller) Compacting() bool { return c.compacting }
 

@@ -138,6 +138,7 @@ type BufGen struct {
 	buf    []Record
 	pos    int
 	done   bool
+	emit   func(Record) // appends to buf; built on the first refill
 }
 
 // Next implements Stream.
@@ -148,7 +149,10 @@ func (g *BufGen) Next() (Record, bool) {
 		}
 		g.buf = g.buf[:0]
 		g.pos = 0
-		if !g.Refill(func(r Record) { g.buf = append(g.buf, r) }) {
+		if g.emit == nil {
+			g.emit = func(r Record) { g.buf = append(g.buf, r) }
+		}
+		if !g.Refill(g.emit) {
 			g.done = true
 		}
 	}

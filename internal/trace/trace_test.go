@@ -122,6 +122,36 @@ func TestBufGen(t *testing.T) {
 	}
 }
 
+// Once its buffer has grown to the largest unit, BufGen.Next allocates
+// nothing, refills included: the emit callback is built once, not per unit.
+func TestBufGenNextAllocationFree(t *testing.T) {
+	unit := 0
+	g := &BufGen{Refill: func(emit func(Record)) bool {
+		unit++
+		for i := 0; i < 1+unit%4; i++ {
+			emit(Record{Kind: Load, Addr: mem.Addr(unit*64 + i)})
+		}
+		return true
+	}}
+	for i := 0; i < 16; i++ { // warm: grow buf to its largest unit
+		g.Next()
+	}
+	before := unit
+	// Ten calls span about four refills (units average 2.5 records), so a
+	// per-refill allocation shows up in AllocsPerRun's integer average.
+	allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 10; i++ {
+			g.Next()
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ten BufGen.Next calls allocated %.0f times, want 0", allocs)
+	}
+	if unit-before < 300 {
+		t.Fatalf("only %d refills measured", unit-before)
+	}
+}
+
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
 	for i := 0; i < 1000; i++ {

@@ -23,6 +23,9 @@ import (
 )
 
 const (
+	firstInit        = 16   // initial first-level table slots (256 B)
+	firstEntryBytes  = 16   // 8 B LPA + 8 B second-level pointer
+	secondEntryBytes = 4    // 6-bit in-page offset + 26-bit log offset
 	secondInit       = 4    // initial second-level table slots (16 B)
 	loadNum, loadDen = 3, 4 // resize when used/slots > 3/4
 	emptyEntry       = ^uint32(0)
@@ -69,6 +72,7 @@ type Log struct {
 	first    []firstEntry
 	firstLen int // used (non-tombstone) entries
 	tombs    int
+	index    int // IndexBytes, kept current wherever a table is sized
 	stats    Stats
 	track    bool
 }
@@ -85,7 +89,8 @@ func New(capacityLines int, trackData bool) *Log {
 	l := &Log{
 		capacity: capacityLines,
 		lines:    make([]uint64, capacityLines),
-		first:    make([]firstEntry, 16),
+		first:    make([]firstEntry, firstInit),
+		index:    firstInit * firstEntryBytes,
 		track:    trackData,
 	}
 	if trackData {
@@ -136,16 +141,10 @@ func (l *Log) LiveLines() int {
 func (l *Log) PageCount() int { return l.firstLen }
 
 // IndexBytes returns the current index memory footprint: 16 B per
-// first-level slot plus 4 B per second-level slot (Fig. 12 sizes).
-func (l *Log) IndexBytes() int {
-	b := len(l.first) * 16
-	for i := range l.first {
-		if l.first[i].state == 1 {
-			b += len(l.first[i].second.slots) * 4
-		}
-	}
-	return b
-}
+// first-level slot plus 4 B per second-level slot of every live page
+// (Fig. 12 sizes). The count is kept as tables grow, gain or lose pages,
+// so reading it costs O(1).
+func (l *Log) IndexBytes() int { return l.index }
 
 func hash64(x uint64) uint64 {
 	x ^= x >> 33
@@ -186,6 +185,7 @@ func (l *Log) findFirst(lpa uint64) (idx int, found bool) {
 func (l *Log) growFirst() {
 	old := l.first
 	l.first = make([]firstEntry, len(old)*2)
+	l.index += len(old) * firstEntryBytes
 	l.firstLen = 0
 	l.tombs = 0
 	for i := range old {
@@ -225,13 +225,16 @@ func (l *Log) Append(line uint64, data []byte) {
 		}
 		l.first[idx] = firstEntry{lpa: lpa, second: &secondTable{slots: newSlots(secondInit)}, state: 1}
 		l.firstLen++
+		l.index += secondInit * secondEntryBytes
 	}
 	st := l.first[idx].second
+	slots := len(st.slots)
 	if st.insert(offset, slot) {
 		l.stats.Updates++
 	}
-	if ib := l.IndexBytes(); ib > l.stats.PeakIndex {
-		l.stats.PeakIndex = ib
+	l.index += (len(st.slots) - slots) * secondEntryBytes
+	if l.index > l.stats.PeakIndex {
+		l.stats.PeakIndex = l.index
 	}
 }
 
@@ -374,6 +377,7 @@ func (l *Log) InvalidatePage(lpa uint64) {
 	if !found {
 		return
 	}
+	l.index -= len(l.first[idx].second.slots) * secondEntryBytes
 	l.first[idx] = firstEntry{state: 2}
 	l.firstLen--
 	l.tombs++
@@ -384,7 +388,8 @@ func (l *Log) InvalidatePage(lpa uint64) {
 // used by the previous log").
 func (l *Log) Reset() {
 	l.len = 0
-	l.first = make([]firstEntry, 16)
+	l.first = make([]firstEntry, firstInit)
+	l.index = firstInit * firstEntryBytes
 	l.firstLen = 0
 	l.tombs = 0
 	l.stats.Resets++

@@ -164,6 +164,66 @@ func TestIndexBytesGrowsAndBounded(t *testing.T) {
 	}
 }
 
+// scanIndexBytes is the full-scan form of IndexBytes: 16 B per
+// first-level slot plus 4 B per second-level slot of every live page.
+func scanIndexBytes(l *Log) int {
+	b := len(l.first) * 16
+	for i := range l.first {
+		if l.first[i].state == 1 {
+			b += len(l.first[i].second.slots) * 4
+		}
+	}
+	return b
+}
+
+// Property: the running IndexBytes equals a full scan of the tables after
+// every Append, InvalidatePage and Reset, and PeakIndex is the running
+// maximum of that scan over the appends (the log samples its footprint
+// when an append may have grown it). Pages outnumber the initial
+// first-level table and take up to 64 lines each, so both levels grow.
+func TestIndexBytesMatchesScan(t *testing.T) {
+	f := func(seed uint64) bool {
+		rng := trace.NewRNG(seed)
+		l := New(1024, false)
+		peak := 0
+		grewFirst, grewSecond := false, false
+		for op := 0; op < 4000; op++ {
+			switch r := rng.Intn(100); {
+			case r < 1 || l.Full():
+				l.Reset()
+			case r < 8:
+				l.InvalidatePage(rng.Uint64n(96))
+			default:
+				page := rng.Uint64n(96)
+				before := 0
+				if idx, ok := l.findFirst(page); ok {
+					before = len(l.first[idx].second.slots)
+				}
+				firstBefore := len(l.first)
+				l.Append(lineOf(page, rng.Uint64n(64)), nil)
+				idx, _ := l.findFirst(page)
+				grewFirst = grewFirst || len(l.first) > firstBefore
+				grewSecond = grewSecond || (before > 0 && len(l.first[idx].second.slots) > before)
+				peak = max(peak, scanIndexBytes(l))
+			}
+			want := scanIndexBytes(l)
+			if l.IndexBytes() != want || l.Stats().PeakIndex != peak {
+				t.Logf("op %d: IndexBytes=%d scan=%d PeakIndex=%d peak=%d",
+					op, l.IndexBytes(), want, l.Stats().PeakIndex, peak)
+				return false
+			}
+		}
+		if !grewFirst || !grewSecond {
+			t.Logf("growth not exercised: first=%v second=%v", grewFirst, grewSecond)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDenseSecondLevelResize(t *testing.T) {
 	l := New(256, false)
 	for off := uint64(0); off < 64; off++ {
