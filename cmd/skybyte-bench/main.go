@@ -38,43 +38,23 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"skybyte"
-	"skybyte/internal/arrival"
+	"skybyte/internal/cli"
 	"skybyte/internal/experiments"
 	"skybyte/internal/fleet"
 	"skybyte/internal/runner"
 	"skybyte/internal/stats"
 	"skybyte/internal/system"
-	"skybyte/internal/tenant"
-	"skybyte/internal/workloads"
 )
 
 func main() {
-	var wfiles []string
-	flag.Func("workload-file", "load and register a workload file (JSON definition or recorded trace; repeatable); it joins the campaign unless -workloads selects a subset", func(path string) error {
-		wfiles = append(wfiles, path)
-		return nil
-	})
-	var imports []string
-	flag.Func("import", "convert and register an external trace, <format>:<path> (champsim, damon, cachegrind; repeatable); it joins the campaign like a -workload-file", func(spec string) error {
-		imports = append(imports, spec)
-		return nil
-	})
-	var mixFiles []string
-	flag.Func("mix-file", "load and register a multi-tenant mix file (JSON; repeatable); it joins the figmix mix set unless -mix selects a subset", func(path string) error {
-		mixFiles = append(mixFiles, path)
-		return nil
-	})
-	var arrFiles []string
-	flag.Func("arrival-file", "load and register an open-loop arrival spec file (JSON; repeatable); it joins the figopen arrival set unless -arrival selects a subset", func(path string) error {
-		arrFiles = append(arrFiles, path)
-		return nil
-	})
+	in := cli.BindCampaign(flag.CommandLine)
 	var (
 		mixCSV      = flag.String("mix", "", "comma-separated mix subset for the figmix fairness table (default: all built-in and -mix-file mixes)")
 		devCSV      = flag.String("devices", "", "comma-separated device counts for the figfleet K-sweep (default: 1,2,4,8; each 1..16)")
@@ -101,66 +81,13 @@ func main() {
 		return
 	}
 
-	// Register workload and mix files before anything resolves names or
-	// computes spec keys: the runner's source-folded keys snapshot each
+	// Register every file before anything resolves names or computes
+	// spec keys: the runner's source-folded keys snapshot each
 	// definition, which is what keeps a store warm across re-runs of the
 	// same file and re-colds exactly the affected entries after an edit.
-	var fileNames []string
-	seenFile := map[string]string{}
-	for _, path := range wfiles {
-		w, err := workloads.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// Two files resolving to one name would silently replace each
-		// other (traces from the same source all load as
-		// "trace:<source>"): refuse, rather than run half the inputs.
-		if prev, ok := seenFile[w.Name]; ok {
-			fmt.Fprintf(os.Stderr, "workload files %s and %s both define %q; rename one (a definition's \"name\" field) or record traces from distinct sources\n", prev, path, w.Name)
-			os.Exit(2)
-		}
-		seenFile[w.Name] = path
-		fileNames = append(fileNames, w.Name)
-	}
-	for _, spec := range imports {
-		w, err := skybyte.ImportTrace(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenFile[w.Name]; ok {
-			fmt.Fprintf(os.Stderr, "workload inputs %s and %s both define %q; imports from the same source file collide\n", prev, spec, w.Name)
-			os.Exit(2)
-		}
-		seenFile[w.Name] = spec
-		fileNames = append(fileNames, w.Name)
-	}
-	seenMix := map[string]string{}
-	for _, path := range mixFiles {
-		m, err := tenant.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenMix[m.Name]; ok {
-			fmt.Fprintf(os.Stderr, "mix files %s and %s both define %q; rename one (the \"name\" field)\n", prev, path, m.Name)
-			os.Exit(2)
-		}
-		seenMix[m.Name] = path
-	}
-	seenArr := map[string]string{}
-	for _, path := range arrFiles {
-		a, err := arrival.RegisterFile(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if prev, ok := seenArr[a.Name]; ok {
-			fmt.Fprintf(os.Stderr, "arrival files %s and %s both define %q; rename one (the \"name\" field)\n", prev, path, a.Name)
-			os.Exit(2)
-		}
-		seenArr[a.Name] = path
+	fileNames, err := in.Register()
+	if err != nil {
+		cli.Fail(err)
 	}
 
 	opt := experiments.DefaultOptions()
@@ -190,9 +117,11 @@ func main() {
 		opt.FleetDevices = nil
 		for _, field := range strings.Split(*devCSV, ",") {
 			k, err := strconv.Atoi(strings.TrimSpace(field))
-			if err != nil || k < 1 || k > fleet.MaxDevices {
-				fmt.Fprintf(os.Stderr, "-devices: invalid device count %q (valid: 1..%d, comma-separated)\n", field, fleet.MaxDevices)
-				os.Exit(2)
+			if err == nil {
+				err = fleet.Validate(k, "")
+			}
+			if err != nil {
+				cli.Fail(fmt.Errorf("-devices %q: %w", field, err))
 			}
 			opt.FleetDevices = append(opt.FleetDevices, k)
 		}
@@ -202,49 +131,19 @@ func main() {
 		for _, field := range strings.Split(*placeCSV, ",") {
 			p, err := fleet.ParsePolicy(strings.TrimSpace(field))
 			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(2)
+				cli.Fail(err)
 			}
 			opt.FleetPlacements = append(opt.FleetPlacements, string(p))
 		}
 	}
-	// Validate every workload, mix, and figure name before any
+	// Resolve every workload, mix and arrival name before any
 	// simulation runs: a typo must not leave a partially executed
 	// campaign behind.
-	for _, name := range opt.Workloads {
-		if _, err := workloads.ByName(name); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	if err := cli.Resolve(opt.Workloads, opt.Mixes, opt.Arrivals); err != nil {
+		cli.Fail(err)
 	}
-	for _, name := range opt.Mixes {
-		if _, err := tenant.ByName(name); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	// Arrivals defaults to the full registry inside the harness; resolve
-	// the effective set here either way — an arrival spec naming an
-	// unknown cohort workload or mix must fail now, listing the valid
-	// set, before any simulation runs.
-	arrSet := opt.Arrivals
-	if len(arrSet) == 0 {
-		arrSet = arrival.Names()
-	}
-	for _, name := range arrSet {
-		a, err := arrival.ByName(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if err := a.Resolve(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-	}
-	if *figure != "all" && !validFigure(*figure) {
-		fmt.Fprintf(os.Stderr, "unknown figure %q; one of: all %s\n", *figure, strings.Join(experiments.IDs(), " "))
-		os.Exit(2)
+	if *figure != "all" && !slices.Contains(experiments.IDs(), *figure) {
+		cli.Fail(fmt.Errorf("unknown figure %q; one of: all %s", *figure, strings.Join(experiments.IDs(), " ")))
 	}
 	opt.Parallelism = *parallel
 
@@ -256,26 +155,21 @@ func main() {
 	opt.CacheDir = *cacheDir
 	opt.FromCache = *fromCache
 	if opt.FromCache && opt.CacheDir == "" {
-		fmt.Fprintln(os.Stderr, "-from-cache requires -cache-dir")
-		os.Exit(2)
+		cli.Fail(fmt.Errorf("-from-cache requires -cache-dir"))
 	}
 	if *shard != "" {
 		if opt.CacheDir == "" {
-			fmt.Fprintln(os.Stderr, "-shard requires -cache-dir (an unpersisted shard is wasted work)")
-			os.Exit(2)
+			cli.Fail(fmt.Errorf("-shard requires -cache-dir (an unpersisted shard is wasted work)"))
 		}
 		if opt.FromCache {
-			fmt.Fprintln(os.Stderr, "-shard executes, -from-cache renders; use one at a time")
-			os.Exit(2)
+			cli.Fail(fmt.Errorf("-shard executes, -from-cache renders; use one at a time"))
 		}
 		if *figure != "all" {
-			fmt.Fprintln(os.Stderr, "-shard slices the full campaign; it cannot be combined with -figure")
-			os.Exit(2)
+			cli.Fail(fmt.Errorf("-shard slices the full campaign; it cannot be combined with -figure"))
 		}
 		var err error
 		if opt.Shard, opt.ShardCount, err = runner.ParseShard(*shard); err != nil {
-			fmt.Fprintf(os.Stderr, "-shard: %v\n", err)
-			os.Exit(2)
+			cli.Fail(fmt.Errorf("-shard: %w", err))
 		}
 	}
 	if opt.CacheDir != "" {
@@ -342,15 +236,6 @@ func main() {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	fmt.Fprintf(os.Stderr, "completed in %v (%d workers)\n", time.Since(start).Round(time.Millisecond), workers)
-}
-
-func validFigure(id string) bool {
-	for _, known := range experiments.IDs() {
-		if id == known {
-			return true
-		}
-	}
-	return false
 }
 
 func printConfigs() {

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"skybyte"
+	"skybyte/internal/cli"
 	"skybyte/internal/fleet"
 	"skybyte/internal/osched"
 	"skybyte/internal/runner"
@@ -50,27 +51,21 @@ import (
 )
 
 func main() {
+	in := cli.Bind(flag.CommandLine)
 	var (
-		workload  = flag.String("workload", "ycsb", "workload name; any of skybyte.WorkloadNames() — Table I, the extension scenarios, or a file-registered workload")
-		wfile     = flag.String("workload-file", "", "load the workload from a file (declarative JSON definition or recorded trace; see WORKLOADS.md) and run it")
-		impSpec   = flag.String("import", "", "convert and run an external trace, <format>:<path> (formats: champsim, damon, cachegrind; see WORKLOADS.md)")
-		mixName   = flag.String("mix", "", "run a multi-tenant mix instead of -workload: each tenant group replays its own workload (any of skybyte.MixNames()); prints per-tenant accounting")
-		mixFile   = flag.String("mix-file", "", "load a multi-tenant mix from a JSON file (see WORKLOADS.md) and run it")
-		arrName   = flag.String("arrival", "", "run an open-loop arrival spec instead of -workload: client cohorts offer requests at sampled instants (any of skybyte.ArrivalNames()); prints per-SLO-class percentiles")
-		arrFile   = flag.String("arrival-file", "", "load an arrival spec from a JSON file (see WORKLOADS.md) and run it")
 		arrScale  = flag.Float64("arrival-scale", 1, "with -arrival: multiply every cohort rate by this offered-intensity scale")
 		variant   = flag.String("variant", "SkyByte-Full", "design variant (Base-CSSD, SkyByte-{C,P,W,CP,WP,Full,CT,WCT}, AstriFlash-CXL, DRAM-Only)")
 		variants  = flag.String("variants", "", "comma-separated variants to compare; they run in parallel and print one table")
 		parallel  = flag.Int("parallel", 0, "with -variants: simulations in flight at once (0 = GOMAXPROCS)")
-		threads   = flag.Int("threads", 0, "software threads (0 = paper default: 24 with context switch, 8 otherwise)")
+		threads   = cli.Int(flag.CommandLine, "threads", 0, 0, "software threads (0 = paper default: 24 with context switch, 8 otherwise)")
 		instr     = flag.Uint64("instr", 16000, "instructions per thread")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		devices   = flag.Int("devices", 0, "wire a fleet of this many CXL-SSDs behind the placement layer (0 = the single-device machine; max 16); prints per-device fleet-dev rows")
 		placement = flag.String("placement", "", "with -devices >= 2: fleet placement policy (striped, capacity, hotcold; default striped)")
 		threshold = flag.Duration("cs-threshold", 2*time.Microsecond, "context-switch trigger threshold (artifact knob cs_threshold)")
 		policy    = flag.String("policy", "FAIRNESS", "scheduling policy: RR, RANDOM, FAIRNESS (artifact knob t_policy)")
-		cacheMB   = flag.Int("ssd-dram-mb", 0, "override total SSD DRAM size in MiB (artifact knob ssd_cache_size_byte)")
-		logKB     = flag.Int("write-log-kb", 0, "override write log size in KiB")
+		cacheMB   = cli.Int(flag.CommandLine, "ssd-dram-mb", 0, 0, "override total SSD DRAM size in MiB (artifact knob ssd_cache_size_byte; 0 = the variant's size)")
+		logKB     = cli.Int(flag.CommandLine, "write-log-kb", 0, 0, "override write log size in KiB (0 = the variant's size)")
 		paper     = flag.Bool("paper-scale", false, "use Table II capacities verbatim instead of the 1/64 scaled machine")
 		telDur    = flag.Duration("telemetry", 0, "sample in-simulator probes (write-log occupancy, queue depths, per-class p99, ...) every this much simulated time; the time-series ride in the result (0 = off, zero cost)")
 		timeline  = flag.String("timeline", "", "with -telemetry: also record the request-lifecycle timeline and write it to this file as Chrome trace-event JSON (load in Perfetto or chrome://tracing)")
@@ -80,130 +75,69 @@ func main() {
 	)
 	flag.Parse()
 
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	// Validate every name before anything simulates: a typo must list
-	// the valid values and change nothing. A -workload-file (or
-	// -mix-file) both registers its definition (so the runner's
-	// source-folded spec keys reflect it exactly) and selects it for
-	// this run.
-	if *wfile != "" {
-		loaded, err := skybyte.WorkloadFromFile(*wfile)
-		if err != nil {
-			fail(err)
-		}
-		*workload = loaded.Name
-	}
-	if *impSpec != "" {
-		loaded, err := skybyte.ImportTrace(*impSpec)
-		if err != nil {
-			fail(err)
-		}
-		*workload = loaded.Name
-	}
-	if *mixFile != "" {
-		loaded, err := skybyte.MixFromFile(*mixFile)
-		if err != nil {
-			fail(err)
-		}
-		*mixName = loaded.Name
-	}
-	var mix skybyte.Mix
-	if *mixName != "" {
-		var err error
-		if mix, err = skybyte.MixByName(*mixName); err != nil {
-			fail(err)
-		}
-		if *variants != "" {
-			fail(fmt.Errorf("-mix runs one design point at a time; it cannot be combined with -variants"))
-		}
-		if *threads != 0 {
-			fail(fmt.Errorf("-mix declares its own thread counts; -threads does not apply"))
-		}
-	}
-	if *arrFile != "" {
-		loaded, err := skybyte.ArrivalFromFile(*arrFile)
-		if err != nil {
-			fail(err)
-		}
-		*arrName = loaded.Name
-	}
-	var arr skybyte.Arrival
-	if *arrName != "" {
-		var err error
-		if arr, err = skybyte.ArrivalByName(*arrName); err != nil {
-			fail(err)
-		}
-		// Resolve cohort references now: an arrival spec naming an
-		// unknown workload or mix must list the valid set and change
-		// nothing, before any simulation starts.
-		if err := arr.Resolve(); err != nil {
-			fail(err)
-		}
-		if *mixName != "" {
-			fail(fmt.Errorf("-arrival paces its own cohorts; it cannot be combined with -mix"))
-		}
-		if *variants != "" {
-			fail(fmt.Errorf("-arrival runs one design point at a time; it cannot be combined with -variants"))
-		}
-		if *threads != 0 {
-			fail(fmt.Errorf("-arrival declares its own cohort thread counts; -threads does not apply"))
-		}
-	}
-	if *threads < 0 {
-		fail(fmt.Errorf("-threads %d: the thread count cannot be negative (0 = paper default)", *threads))
-	}
-	if *arrName != "" && (!(*arrScale > 0) || math.IsInf(*arrScale, 0)) {
-		fail(fmt.Errorf("-arrival-scale %g: the offered-intensity scale must be a positive finite number", *arrScale))
-	}
-	w, err := skybyte.WorkloadByName(*workload)
+	// Resolve the one load before anything simulates. A file or import
+	// both registers its definition (so the runner's source-folded
+	// spec keys reflect it exactly) and selects it for this run.
+	src, err := in.Source()
 	if err != nil {
-		fail(err)
+		cli.Fail(err)
+	}
+	load, err := src.Load()
+	if err != nil {
+		cli.Fail(err)
+	}
+	w, mix, arr := load.Workload, load.Mix, load.Arrival
+	if w.Name == "" {
+		// A mix or an arrival spec lays out its own threads.
+		if *variants != "" {
+			cli.Fail(fmt.Errorf("%v runs one design point at a time; it cannot be combined with -variants", src))
+		}
+		if *threads != 0 {
+			cli.Fail(fmt.Errorf("%v declares its own thread counts; -threads does not apply", src))
+		}
+	}
+	if arr.Name != "" && (!(*arrScale > 0) || math.IsInf(*arrScale, 0)) {
+		cli.Fail(fmt.Errorf("-arrival-scale %g: the offered-intensity scale must be a positive finite number", *arrScale))
 	}
 	var variantList []system.Variant
 	if *variants != "" {
 		for _, name := range strings.Split(*variants, ",") {
 			v, err := system.ParseVariant(strings.TrimSpace(name))
 			if err != nil {
-				fail(err)
+				cli.Fail(err)
 			}
 			variantList = append(variantList, v)
 		}
 	} else if _, err := system.ParseVariant(*variant); err != nil {
-		fail(err)
+		cli.Fail(err)
 	}
 	// Fleet flags reject unknown values upfront, listing the valid set
 	// (the same convention as -variant), before anything simulates.
 	if *devices != 0 {
 		if err := fleet.Validate(*devices, *placement); err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
-	} else if *placement != "" {
-		fail(fmt.Errorf("-placement %q requires -devices >= 2 (valid policies: %s)", *placement, strings.Join(fleet.PolicyNames(), ", ")))
 	}
 	if *placement != "" && *devices < 2 {
-		fail(fmt.Errorf("-placement %q needs a fleet to place across; use -devices 2..%d", *placement, fleet.MaxDevices))
+		cli.Fail(fmt.Errorf("-placement %q needs a fleet to place across; use -devices 2..%d (valid policies: %s)", *placement, fleet.MaxDevices, strings.Join(fleet.PolicyNames(), ", ")))
 	}
 	if *timeline != "" && *telDur <= 0 {
-		fail(fmt.Errorf("-timeline records spans on the telemetry sampler; it requires -telemetry <cadence>"))
+		cli.Fail(fmt.Errorf("-timeline records spans on the telemetry sampler; it requires -telemetry <cadence>"))
 	}
 	if *timeline != "" && *variants != "" {
-		fail(fmt.Errorf("-timeline writes one run's timeline; it cannot be combined with -variants"))
+		cli.Fail(fmt.Errorf("-timeline writes one run's timeline; it cannot be combined with -variants"))
 	}
 	if (*shardSpec != "" || *fromCache) && *cacheDir == "" {
-		fail(fmt.Errorf("-shard and -from-cache require -cache-dir"))
+		cli.Fail(fmt.Errorf("-shard and -from-cache require -cache-dir"))
 	}
 	if (*shardSpec != "" || *fromCache) && *variants == "" {
-		fail(fmt.Errorf("-shard and -from-cache apply to the -variants comparison"))
+		cli.Fail(fmt.Errorf("-shard and -from-cache apply to the -variants comparison"))
 	}
 	shardI, shardN := 0, 1
 	if *shardSpec != "" {
 		var err error
 		if shardI, shardN, err = runner.ParseShard(*shardSpec); err != nil {
-			fail(fmt.Errorf("-shard: %w", err))
+			cli.Fail(fmt.Errorf("-shard: %w", err))
 		}
 	}
 
@@ -270,14 +204,14 @@ func main() {
 	knobs(&cfg)
 	var report func(res *skybyte.Result, wall time.Duration)
 	switch {
-	case *mixName != "":
+	case mix.Name != "":
 		spec.Mix, spec.Threads = mix.Name, mix.TotalThreads()
 		spec.TotalInstr = *instr * uint64(spec.Threads)
 		report = func(res *skybyte.Result, wall time.Duration) { printMix(res, mix, cfg.Cores, wall) }
-	case *arrName != "":
+	case arr.Name != "":
 		n, err := arr.TotalThreads()
 		if err != nil {
-			fail(err)
+			cli.Fail(err)
 		}
 		spec.Arrival, spec.ArrivalScale = arr.Name, *arrScale
 		spec.TotalInstr = *instr * uint64(n)

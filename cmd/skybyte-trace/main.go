@@ -52,14 +52,15 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync"
 
 	"skybyte"
 	"skybyte/internal/arrival"
+	"skybyte/internal/cli"
 	"skybyte/internal/mem"
 	"skybyte/internal/stats"
+	"skybyte/internal/store"
 	"skybyte/internal/telemetry"
 	"skybyte/internal/trace"
 	"skybyte/internal/traceimport"
@@ -70,8 +71,7 @@ type summary struct {
 	thread    int
 	kinds     map[trace.Kind]uint64
 	instrs    uint64
-	pages     map[uint64]bool
-	pageLines map[uint64]uint64 // page -> line bitmask
+	pageLines map[uint64]uint64 // page touched -> line bitmask
 }
 
 // analyze drains up to n records of one thread's stream. Streams are
@@ -82,7 +82,6 @@ func analyze(w skybyte.Workload, thread int, seed uint64, n, dump int) summary {
 	s := summary{
 		thread:    thread,
 		kinds:     map[trace.Kind]uint64{},
-		pages:     map[uint64]bool{},
 		pageLines: map[uint64]uint64{},
 	}
 	dumped := 0
@@ -103,9 +102,7 @@ func analyze(w skybyte.Workload, thread int, seed uint64, n, dump int) summary {
 		s.kinds[r.Kind]++
 		s.instrs += r.Instructions()
 		if r.Kind != trace.Compute {
-			p := r.Addr.PageNumber()
-			s.pages[p] = true
-			s.pageLines[p] |= 1 << r.Addr.LineIndex()
+			s.pageLines[r.Addr.PageNumber()] |= 1 << r.Addr.LineIndex()
 		}
 	}
 	return s
@@ -115,24 +112,62 @@ func (s summary) memOps() uint64 {
 	return s.kinds[trace.Load] + s.kinds[trace.LoadDep] + s.kinds[trace.Store]
 }
 
+// merge folds stream summaries into one: counts add, line masks unite.
+func merge(sums []summary) summary {
+	m := summary{kinds: map[trace.Kind]uint64{}, pageLines: map[uint64]uint64{}}
+	for _, s := range sums {
+		for k, v := range s.kinds {
+			m.kinds[k] += v
+		}
+		m.instrs += s.instrs
+		for p, mask := range s.pageLines {
+			m.pageLines[p] |= mask
+		}
+	}
+	return m
+}
+
+// stream names one thread stream of a workload.
+type stream struct {
+	w      skybyte.Workload
+	thread int
+}
+
+// analyzeStreams drains every stream (up to n records each) across a
+// bounded worker pool of parallel goroutines (0 = GOMAXPROCS); the
+// summaries return in stream order regardless of completion order.
+func analyzeStreams(streams []stream, seed uint64, n, parallel int) []summary {
+	if parallel <= 0 {
+		parallel = runtime.GOMAXPROCS(0)
+	}
+	sums := make([]summary, len(streams))
+	sem := make(chan struct{}, parallel)
+	var wg sync.WaitGroup
+	for i, st := range streams {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sem <- struct{}{}
+			sums[i] = analyze(st.w, st.thread, seed, n, 0)
+			<-sem
+		}()
+	}
+	wg.Wait()
+	return sums
+}
+
 func main() {
+	in := cli.Bind(flag.CommandLine)
 	var (
-		workload = flag.String("workload", "ycsb", "workload name (any of skybyte.WorkloadNames())")
-		wfile    = flag.String("workload-file", "", "load the workload from a file (JSON definition or recorded trace) instead of -workload")
-		mixName  = flag.String("mix", "", "analyse a multi-tenant mix instead of -workload: every tenant's streams, summarised per tenant (any of skybyte.MixNames())")
-		mixFile  = flag.String("mix-file", "", "load the mix from a JSON file (see WORKLOADS.md) instead of -mix")
-		arrName  = flag.String("arrival", "", "analyse an open-loop arrival spec instead of -workload: per-cohort process parameters and sampled interarrival statistics (any of skybyte.ArrivalNames())")
-		arrFile  = flag.String("arrival-file", "", "load the arrival spec from a JSON file (see WORKLOADS.md) instead of -arrival")
-		n        = flag.Int("n", 100000, "records to analyse (or record) per thread")
+		n        = cli.Int(flag.CommandLine, "n", 100000, 1, "records to analyse (or record) per thread")
 		dump     = flag.Int("dump", 0, "records to print verbatim (single-thread mode only)")
-		thread   = flag.Int("thread", 0, "thread id")
-		nthreads = flag.Int("nthreads", 1, "analyse (or record) this many thread streams (ids 0..n-1)")
+		thread   = cli.Int(flag.CommandLine, "thread", 0, 0, "thread id")
+		nthreads = cli.Int(flag.CommandLine, "nthreads", 1, 1, "analyse (or record) this many thread streams (ids 0..n-1)")
 		parallel = flag.Int("parallel", 0, "streams analysed concurrently (0 = GOMAXPROCS)")
 		seed     = flag.Uint64("seed", 1, "workload seed")
-		record   = flag.String("record", "", "record the streams to this trace file instead of analysing")
+		record   = flag.String("record", "", "record the streams to this trace file instead of analysing; with -import, the full conversion")
 		recInstr = flag.Uint64("record-instr", 0, "with -record: cut each stream at this instruction budget (matching a simulation's -instr) instead of at -n records")
 		recVer   = flag.Int("trace-version", trace.CodecVersion, "with -record: trace codec version to emit (1 = flat legacy, 2 = block-compressed streaming)")
-		impSpec  = flag.String("import", "", "convert an external trace, <format>:<path> or a bare path with a recognized extension (formats: champsim, damon, cachegrind; champsim accepts a dir/glob of per-CPU files); records it with -record, analyses it otherwise")
 		fixture  = flag.String("make-fixture", "", "write a tiny synthetic external-format source file, <format>:<path>, then exit (importer demo/CI fixture)")
 		checkTL  = flag.String("check-timeline", "", "validate a Chrome trace-event timeline written by skybyte-sim -timeline (JSON shape and per-track span nesting), then exit; a violation is a non-zero exit")
 	)
@@ -167,89 +202,54 @@ func main() {
 		return
 	}
 
-	if *impSpec != "" && *record != "" {
+	src, err := in.Source()
+	if err != nil {
+		cli.Fail(err)
+	}
+	// Which cut flags were given explicitly matters for recording:
+	// defaults mean "reproduce the source exactly".
+	explicit := map[string]bool{}
+	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	if src.Flag == "import" && *record != "" {
 		// Convert an external trace straight to a .trc: the records
 		// pass through verbatim (no cut), with provenance meta sealed
 		// into the file. Cut flags would be silently meaningless here,
 		// so refuse them — record the full conversion, then re-record
 		// the .trc with -workload-file and the desired cut.
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		for _, f := range []string{"n", "record-instr", "nthreads", "seed", "thread"} {
 			if explicit[f] {
-				fmt.Fprintf(os.Stderr, "-import -record writes the full conversion verbatim; -%s does not apply (record first, then re-record the .trc with -workload-file and your cut)\n", f)
-				os.Exit(2)
+				cli.Fail(fmt.Errorf("-import -record writes the full conversion verbatim; -%s does not apply (record first, then re-record the .trc with -workload-file and your cut)", f))
 			}
 		}
-		if err := recordImport(*impSpec, *record, *recVer); err != nil {
+		if err := recordImport(src.Value, *record, *recVer); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		return
 	}
-
-	if *arrFile != "" || *arrName != "" {
-		var a skybyte.Arrival
-		var err error
-		if *arrFile != "" {
-			a, err = skybyte.ArrivalFromFile(*arrFile)
-		} else {
-			a, err = skybyte.ArrivalByName(*arrName)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *record != "" {
-			fmt.Fprintln(os.Stderr, "-record captures workload streams; an arrival spec paces them but generates no records")
-			os.Exit(2)
-		}
-		analyzeArrival(a, *n, *seed)
-		return
-	}
-
-	if *mixFile != "" || *mixName != "" {
-		var m skybyte.Mix
-		var err error
-		if *mixFile != "" {
-			m, err = skybyte.MixFromFile(*mixFile)
-		} else {
-			m, err = skybyte.MixByName(*mixName)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		if *record != "" {
-			fmt.Fprintln(os.Stderr, "-record captures one workload's streams; record each tenant's workload separately")
-			os.Exit(2)
-		}
-		analyzeMix(m, *n, *seed, *parallel)
-		return
-	}
-
-	var w skybyte.Workload
-	var err error
-	switch {
-	case *impSpec != "":
-		// Analyse an import without recording it: the converted trace
-		// registers as a workload and flows through the same summary.
-		w, err = skybyte.ImportTrace(*impSpec)
-	case *wfile != "":
-		w, err = skybyte.WorkloadFromFile(*wfile)
-	default:
-		w, err = skybyte.WorkloadByName(*workload)
-	}
+	// Anything else registers (an import is converted and analysed like
+	// any workload) and resolves before a stream is drawn.
+	load, err := src.Load()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Fail(err)
 	}
+	switch {
+	case load.Arrival.Name != "":
+		if *record != "" {
+			cli.Fail(fmt.Errorf("-record captures workload streams; an arrival spec paces them but generates no records"))
+		}
+		analyzeArrival(load.Arrival, *n, *seed)
+		return
+	case load.Mix.Name != "":
+		if *record != "" {
+			cli.Fail(fmt.Errorf("-record captures one workload's streams; record each tenant's workload separately"))
+		}
+		analyzeMix(load.Mix, *n, *seed, *parallel)
+		return
+	}
+	w := load.Workload
 
 	if *record != "" {
-		// Which cut flags were given explicitly matters for trace
-		// re-recording: defaults mean "reproduce the source exactly".
-		explicit := map[string]bool{}
-		flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 		if err := recordTrace(w, *record, *nthreads, *n, *recInstr, *seed, *recVer, explicit); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -259,25 +259,11 @@ func main() {
 
 	var sums []summary
 	if *nthreads > 1 {
-		// Fan the independent streams across a bounded worker pool;
-		// results print in thread order regardless of completion order.
-		workers := *parallel
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
+		streams := make([]stream, *nthreads)
+		for t := range streams {
+			streams[t] = stream{w, t}
 		}
-		sums = make([]summary, *nthreads)
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for t := 0; t < *nthreads; t++ {
-			wg.Add(1)
-			go func(t int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				sums[t] = analyze(w, t, *seed, *n, 0)
-				<-sem
-			}(t)
-		}
-		wg.Wait()
+		sums = analyzeStreams(streams, *seed, *n, *parallel)
 	} else {
 		sums = []summary{analyze(w, *thread, *seed, *n, *dump)}
 	}
@@ -287,33 +273,14 @@ func main() {
 	if *nthreads > 1 {
 		fmt.Printf("%-8s %12s %12s %10s %8s\n", "thread", "instrs", "mem ops", "stores", "pages")
 		for _, s := range sums {
-			fmt.Printf("%-8d %12d %12d %10d %8d\n", s.thread, s.instrs, s.memOps(), s.kinds[trace.Store], len(s.pages))
+			fmt.Printf("%-8d %12d %12d %10d %8d\n", s.thread, s.instrs, s.memOps(), s.kinds[trace.Store], len(s.pageLines))
 		}
 	}
 
-	// Aggregate across the analysed streams.
-	var (
-		kinds     = map[trace.Kind]uint64{}
-		instrs    uint64
-		pages     = map[uint64]bool{}
-		pageLines = map[uint64]uint64{}
-	)
-	for _, s := range sums {
-		for k, v := range s.kinds {
-			kinds[k] += v
-		}
-		instrs += s.instrs
-		for p := range s.pages {
-			pages[p] = true
-		}
-		for p, mask := range s.pageLines {
-			pageLines[p] |= mask
-		}
-	}
-
-	memOps := kinds[trace.Load] + kinds[trace.LoadDep] + kinds[trace.Store]
-	fmt.Printf("instructions     %d (%d records/thread, %d threads)\n", instrs, *n, len(sums))
-	fmt.Printf("memory ops       %d (%.1f per 100 instr)\n", memOps, 100*float64(memOps)/float64(instrs))
+	all := merge(sums)
+	kinds, memOps := all.kinds, all.memOps()
+	fmt.Printf("instructions     %d (%d records/thread, %d threads)\n", all.instrs, *n, len(sums))
+	fmt.Printf("memory ops       %d (%.1f per 100 instr)\n", memOps, 100*float64(memOps)/float64(all.instrs))
 	totalLoads := kinds[trace.Load] + kinds[trace.LoadDep]
 	depFrac := 0.0
 	if totalLoads > 0 {
@@ -322,11 +289,11 @@ func main() {
 	fmt.Printf("  loads          %d (%.1f%% dependent/pointer-chasing)\n", totalLoads, 100*depFrac)
 	fmt.Printf("  stores         %d (write ratio %.1f%%, Table I: %.0f%%)\n",
 		kinds[trace.Store], 100*float64(kinds[trace.Store])/float64(memOps), 100*w.WriteRatio)
-	fmt.Printf("pages touched    %d of %d footprint (%s)\n", len(pages), w.FootprintPages, stats.FormatGB(w.FootprintBytes()))
+	fmt.Printf("pages touched    %d of %d footprint (%s)\n", len(all.pageLines), w.FootprintPages, stats.FormatGB(w.FootprintBytes()))
 
 	// Spatial sparsity: the Fig. 5/6 style line-usage distribution.
 	var dist stats.Distribution
-	for _, mask := range pageLines {
+	for _, mask := range all.pageLines {
 		dist.Add(float64(popcount(mask)) / float64(mem.LinesPerPage))
 	}
 	fmt.Printf("line usage/page  mean %.1f%% of 64 lines; %.0f%% of pages use <=25%% of lines\n",
@@ -344,59 +311,28 @@ func popcount(x uint64) int {
 // analyzeMix summarises every tenant's streams of a multi-tenant mix:
 // one aggregate row per tenant (its Threads streams at its thread
 // count), so the interference study's inputs can be inspected before a
-// simulation runs. Streams are analysed across a bounded worker pool;
-// rows print in tenant order.
+// simulation runs. Rows print in tenant order.
 func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
-	workers := parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	type job struct{ tenant, thread int }
-	var jobs []job
-	specs := make([]skybyte.Workload, len(m.Tenants))
-	for ti, td := range m.Tenants {
+	var streams []stream
+	for _, td := range m.Tenants {
 		w, err := skybyte.WorkloadByName(td.Workload)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			cli.Fail(err)
 		}
-		specs[ti] = w
 		for k := 0; k < td.Threads; k++ {
-			jobs = append(jobs, job{ti, k})
+			streams = append(streams, stream{w, k})
 		}
 	}
-	sums := make([]summary, len(jobs))
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for ji, j := range jobs {
-		wg.Add(1)
-		go func(ji int, j job) {
-			defer wg.Done()
-			sem <- struct{}{}
-			sums[ji] = analyze(specs[j.tenant], j.thread, seed, n, 0)
-			<-sem
-		}(ji, j)
-	}
-	wg.Wait()
+	sums := analyzeStreams(streams, seed, n, parallel)
 
 	fmt.Printf("\nmix %s (%d tenants, %d threads, %d records/thread)\n",
 		m.Name, len(m.Tenants), m.TotalThreads(), n)
 	fmt.Printf("%-10s %-12s %8s %12s %12s %10s %8s %10s\n",
 		"tenant", "workload", "threads", "instrs", "mem ops", "stores", "pages", "write%")
-	cursor := 0
 	for _, td := range m.Tenants {
-		var instrs, memOps, stores uint64
-		pages := map[uint64]bool{}
-		for k := 0; k < td.Threads; k++ {
-			s := sums[cursor]
-			cursor++
-			instrs += s.instrs
-			memOps += s.memOps()
-			stores += s.kinds[trace.Store]
-			for p := range s.pages {
-				pages[p] = true
-			}
-		}
+		t := merge(sums[:td.Threads])
+		sums = sums[td.Threads:]
+		memOps, stores := t.memOps(), t.kinds[trace.Store]
 		name := td.Name
 		if name == "" {
 			name = td.Workload
@@ -406,7 +342,7 @@ func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
 			wr = float64(stores) / float64(memOps)
 		}
 		fmt.Printf("%-10s %-12s %8d %12d %12d %10d %8d %9.1f%%\n",
-			name, td.Workload, td.Threads, instrs, memOps, stores, len(pages), 100*wr)
+			name, td.Workload, td.Threads, t.instrs, memOps, stores, len(t.pageLines), 100*wr)
 	}
 }
 
@@ -416,18 +352,9 @@ func analyzeMix(m skybyte.Mix, n int, seed uint64, parallel int) {
 // first gate, so the traffic an open-loop run will offer can be
 // inspected before any simulation.
 func analyzeArrival(a skybyte.Arrival, n int, seed uint64) {
-	if err := a.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err := a.Resolve(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	threads, err := a.TotalThreads()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		cli.Fail(err)
 	}
 	fmt.Printf("\narrival %s (%d cohorts, %d threads, %d gaps sampled/cohort)\n",
 		a.Name, len(a.Cohorts), threads, n)
@@ -519,7 +446,7 @@ func recordTrace(w skybyte.Workload, path string, nthreads, maxRecords int, inst
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(path, data); err != nil {
+	if err := store.WriteFileAtomic(path, data); err != nil {
 		return err
 	}
 	fmt.Printf("recorded %s: %d threads, %d records, %d bytes (%s)\n",
@@ -542,7 +469,7 @@ func recordImport(spec, out string, version int) error {
 	if err != nil {
 		return err
 	}
-	if err := writeFileAtomic(out, enc.Data); err != nil {
+	if err := store.WriteFileAtomic(out, enc.Data); err != nil {
 		return err
 	}
 	o := enc.Meta.Origin
@@ -551,35 +478,5 @@ func recordImport(spec, out string, version int) error {
 	fmt.Printf("recorded %s: %d bytes (%s; source sha256 %s)\n",
 		out, len(enc.Data), trace.TraceDigest(enc.Data), o.SourceDigest[:16])
 	fmt.Printf("replay with: skybyte-sim -workload-file %s\n", out)
-	return nil
-}
-
-// writeFileAtomic writes data via a temp file and rename in the target
-// directory — the internal/store convention — so a failed or
-// interrupted record never leaves a stale partial .trc behind (a
-// partial file would fail its checksum, but the loud failure belongs
-// at record time, not at the next replay).
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "record-*.tmp")
-	if err != nil {
-		return err
-	}
-	_, werr := tmp.Write(data)
-	merr := tmp.Chmod(0o644)
-	cerr := tmp.Close()
-	if werr == nil && merr == nil && cerr == nil {
-		if err := os.Rename(tmp.Name(), path); err == nil {
-			return nil
-		} else {
-			werr = err
-		}
-	}
-	os.Remove(tmp.Name())
-	for _, e := range []error{werr, merr, cerr} {
-		if e != nil {
-			return fmt.Errorf("recording %s: %w", path, e)
-		}
-	}
 	return nil
 }

@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -130,22 +131,32 @@ func (d *Disk) Put(key string, res *system.Result) {
 	if err != nil {
 		return
 	}
-	final := d.path(key)
-	tmp, err := os.CreateTemp(d.dir, "put-*.tmp")
-	if err != nil {
-		return
-	}
-	_, werr := tmp.Write(data)
-	// CreateTemp makes 0600 files; entries must be world-readable so
-	// stores shared between users/CI jobs (the whole point of the
-	// on-disk format) render for everyone.
-	merr := tmp.Chmod(0o644)
-	cerr := tmp.Close()
-	if werr != nil || merr != nil || cerr != nil || os.Rename(tmp.Name(), final) != nil {
-		os.Remove(tmp.Name())
+	if WriteFileAtomic(d.path(key), data) != nil {
 		return
 	}
 	d.puts.Add(1)
+}
+
+// WriteFileAtomic writes data to path through a temp file in the same
+// directory and a rename, so a reader never observes a partial file
+// and a failed write leaves none behind. The file is world-readable
+// (CreateTemp makes 0600 files): stores and recorded traces are shared
+// between users and CI jobs.
+func WriteFileAtomic(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), "write-*.tmp")
+	if err == nil {
+		_, werr := tmp.Write(data)
+		if err = errors.Join(werr, tmp.Chmod(0o644), tmp.Close()); err == nil {
+			err = os.Rename(tmp.Name(), path)
+		}
+		if err != nil {
+			os.Remove(tmp.Name())
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("write %s: %w", path, err)
+	}
+	return nil
 }
 
 func payloadDigest(payload []byte) string {

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -202,5 +203,41 @@ func TestPutLeavesNoTempFiles(t *testing.T) {
 	}
 	if n := d.Len(); n != 1 {
 		t.Fatalf("store holds %d entries, want 1", n)
+	}
+}
+
+func TestWriteFileAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "out.trc")
+	if err := WriteFileAtomic(path, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(path); err != nil || string(got) != "payload" || fi.Mode().Perm() != 0o644 {
+		t.Fatalf("wrote %q (err %v) with mode %v, want \"payload\" with 0644", got, err, fi.Mode().Perm())
+	}
+	// A rename onto a directory fails: the error names the target and
+	// the temp file is gone.
+	sub := filepath.Join(dir, "sub")
+	if err := os.Mkdir(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFileAtomic(sub, []byte("x")); err == nil || !strings.Contains(err.Error(), sub) {
+		t.Fatalf("write onto a directory: err %v, want one naming %s", err, sub)
+	}
+	if err := WriteFileAtomic(filepath.Join(dir, "missing", "f"), nil); err == nil {
+		t.Fatal("write into a missing directory succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			t.Fatalf("temp file %s left behind by a failed write", e.Name())
+		}
 	}
 }
